@@ -48,9 +48,7 @@ from .errors import ConvexCodesError
 from .homology import BettiVector, boundary_matrix, is_acyclic, reduced_betti
 from .realization import (
     ArrangementCell,
-    CodeComplexRealization,
     cell_region,
-    code_complex_realization,
     code_link,
     enumerate_cells,
     good_cover_check,
@@ -68,7 +66,6 @@ __all__ = [
     "BettiVector",
     "Budget",
     "Code",
-    "CodeComplexRealization",
     "CollapseOutcome",
     "CollapseStep",
     "ConvexCodesError",
@@ -81,7 +78,6 @@ __all__ = [
     "certifies_collapse",
     "classify",
     "closure",
-    "code_complex_realization",
     "code_link",
     "cone",
     "cone_minus_apex",

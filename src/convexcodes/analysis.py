@@ -10,8 +10,13 @@ here is decided at the level of links inside the code's complex:
   intersections of maximal codewords (any face outside that family has a
   cone link, so it can never obstruct);
 * a code is locally great when every missing face has a collapsible link,
-  a strictly stronger, fully decidable demand that is checked against all
-  missing faces.
+  a strictly stronger, fully decidable demand.  Every missing face is
+  walked, but only facet intersections need checking, for the same
+  reason: a cone is collapsible.
+
+Both verdicts and the mandatory codewords are read off one link table per
+code: each facet intersection with its link and the link's
+contractibility verdict, each built once and sharing one search memo.
 
 Contractibility itself is semidecidable, so the checker climbs a ladder of
 exact special cases (graphs, cones), then collapsibility, then homology,
@@ -43,9 +48,9 @@ from .verdicts import (
     R_NONZERO_BETTI,
     R_NOT_COLLAPSIBLE,
     R_TREE_TEST,
-    R_VACUOUS,
     TriStatus,
     Verdict,
+    for_all,
 )
 
 IMPLICATION_NOTES = (
@@ -150,6 +155,67 @@ def _check_code(code: Code) -> SimplicialComplex:
     return closure(code)
 
 
+# Ladder rungs that also settle collapsibility exactly: a graph collapses
+# to a point exactly when it is a tree, and cones and collapse
+# certificates are collapsible by construction.
+_COLLAPSE_EXACT_RUNGS = (R_TREE_TEST, R_CONE_APEX, R_COLLAPSE_CERT)
+
+
+class _LinkTable:
+    """Each facet intersection of a code's complex with its link and verdict.
+
+    ``links`` maps every facet intersection, in (size, mask) order, to its
+    link and the link's contractibility status.  Each link is built and
+    decided once, so one table serves the mandatory words, local goodness,
+    local greatness and max-intersection completeness of one code.
+    """
+
+    def __init__(self, code: Code, budget: Budget, memo: dict | None, primes):
+        self.code = code
+        self.cx = _check_code(code)
+        self.budget = budget
+        self.memo = {} if memo is None else memo
+        self.links = {}
+        for sigma in sorted(facet_intersections(self.cx), key=_face_sort_key):
+            lk = link(self.cx, sigma)
+            self.links[sigma] = (lk, contractibility_status(lk, budget, self.memo, primes))
+
+    def mandatory(self) -> tuple[frozenset[int], frozenset[int]]:
+        found = frozenset(sigma for sigma, (_, st) in self.links.items() if st.is_no)
+        unknown = frozenset(sigma for sigma, (_, st) in self.links.items() if st.is_unknown)
+        return found, unknown
+
+    def locally_good(self) -> TriStatus:
+        words = self.code.words
+        return for_all(
+            ((sigma, st) for sigma, (_, st) in self.links.items() if sigma not in words),
+            R_ALL_LINKS,
+        )
+
+    def locally_great(self) -> TriStatus:
+        words = self.code.words
+        missing = (sigma for sigma in self.cx.faces() if sigma and sigma not in words)
+        return for_all(((sigma, self._collapsibility(sigma)) for sigma in missing), R_ALL_LINKS)
+
+    def _collapsibility(self, sigma: int) -> TriStatus:
+        """Is the link of sigma collapsible?  Searches only when the ladder did not settle it."""
+        if sigma not in self.links:
+            # sigma is strictly inside the intersection of the facets
+            # containing it, so its link is a cone over any vertex of the gap
+            return TriStatus(Verdict.YES, R_CONE_APEX)
+        lk, st = self.links[sigma]
+        if st.reason in _COLLAPSE_EXACT_RUNGS:
+            value, nodes = st.value, 0
+        else:
+            outcome = is_collapsible(lk, "strict", self.budget, self.memo)
+            value, nodes = outcome.status, outcome.nodes_explored
+        if value is Verdict.NO:
+            return TriStatus(Verdict.NO, R_NOT_COLLAPSIBLE, certificate={"nodes_explored": nodes})
+        if value is Verdict.UNKNOWN:
+            return TriStatus(Verdict.UNKNOWN, R_BUDGET)
+        return TriStatus(Verdict.YES, R_COLLAPSE_CERT)
+
+
 def mandatory_codewords(
     code: Code,
     budget: Budget = Budget(),
@@ -163,16 +229,7 @@ def mandatory_codewords(
     (found, unknown): ``found`` are proved mandatory, ``unknown`` are the
     faces whose link contractibility the ladder could not settle.
     """
-    cx = _check_code(code)
-    memo = {} if memo is None else memo
-    found, unknown = set(), set()
-    for sigma in sorted(facet_intersections(cx), key=_face_sort_key):
-        st = contractibility_status(link(cx, sigma), budget, memo, primes)
-        if st.is_no:
-            found.add(sigma)
-        elif st.is_unknown:
-            unknown.add(sigma)
-    return frozenset(found), frozenset(unknown)
+    return _LinkTable(code, budget, memo, primes).mandatory()
 
 
 def is_locally_good(
@@ -188,22 +245,7 @@ def is_locally_good(
     (size, mask) order as witness, with the link's own negative
     certificate attached.
     """
-    cx = _check_code(code)
-    memo = {} if memo is None else memo
-    unknown_seen = None
-    checked = 0
-    for sigma in sorted(facet_intersections(cx), key=_face_sort_key):
-        if sigma in code.words:
-            continue
-        checked += 1
-        st = contractibility_status(link(cx, sigma), budget, memo, primes)
-        if st.is_no:
-            return TriStatus(Verdict.NO, st.reason, witness=sigma, certificate=st.certificate)
-        if st.is_unknown and unknown_seen is None:
-            unknown_seen = TriStatus(Verdict.UNKNOWN, st.reason, witness=sigma)
-    if unknown_seen is not None:
-        return unknown_seen
-    return TriStatus(Verdict.YES, R_ALL_LINKS if checked else R_VACUOUS)
+    return _LinkTable(code, budget, memo, primes).locally_good()
 
 
 def is_locally_great(
@@ -214,31 +256,15 @@ def is_locally_great(
     """Does every face missing from the code have a collapsible link?
 
     Quantifies over all nonempty faces of the complex outside the code,
-    not just facet intersections.  Collapsibility is fully decidable, so
-    within budget every answer is Yes or No; No carries the witness face
-    whose link the exhaustive search rejected.
+    but checks only facet intersections: any other face has a cone link,
+    which is collapsible.  A link the contractibility ladder settled by a
+    tree test, cone apex or collapse certificate keeps that verdict; the
+    rest get the exhaustive search.  Within budget every answer is Yes or
+    No; No carries the witness face and, as ``nodes_explored``, the node
+    count of the search that decided its link in this run (0 after a tree
+    test or a memo hit).
     """
-    cx = _check_code(code)
-    memo = {} if memo is None else memo
-    unknown_seen = None
-    checked = 0
-    for sigma in cx.faces():
-        if sigma == 0 or sigma in code.words:
-            continue
-        checked += 1
-        outcome = is_collapsible(link(cx, sigma), "strict", budget, memo)
-        if outcome.status is Verdict.NO:
-            return TriStatus(
-                Verdict.NO,
-                R_NOT_COLLAPSIBLE,
-                witness=sigma,
-                certificate={"nodes_explored": outcome.nodes_explored},
-            )
-        if outcome.status is Verdict.UNKNOWN and unknown_seen is None:
-            unknown_seen = TriStatus(Verdict.UNKNOWN, R_BUDGET, witness=sigma)
-    if unknown_seen is not None:
-        return unknown_seen
-    return TriStatus(Verdict.YES, R_ALL_LINKS if checked else R_VACUOUS)
+    return _LinkTable(code, budget, memo, DEFAULT_PRIMES).locally_great()
 
 
 def is_max_intersection_complete(code: Code) -> bool:
@@ -286,11 +312,10 @@ def classify(
     budget: Budget = Budget(),
     primes=DEFAULT_PRIMES,
 ) -> AnalysisReport:
-    """Run the full battery on one code, sharing one memo across all checks."""
-    _check_code(code)
-    memo: dict = {}
-    good = is_locally_good(code, budget, memo, primes)
-    great = is_locally_great(code, budget, memo)
+    """Run the full battery on one code from one link table and one memo."""
+    table = _LinkTable(code, budget, None, primes)
+    good = table.locally_good()
+    great = table.locally_great()
     if great.is_yes and good.is_unknown:
         raise InternalInconsistency(
             "locally great was proved but locally good stayed unknown"
@@ -300,12 +325,12 @@ def classify(
             f"locally good failed at witness {face_label(good.witness)} "
             "yet locally great was proved"
         )
-    found, unknown = mandatory_codewords(code, budget, memo, primes)
+    found, unknown = table.mandatory()
     sparsity = max((w.bit_count() for w in code.words), default=0)
     return AnalysisReport(
         code=code,
         sparsity=sparsity,
-        max_intersection_complete=is_max_intersection_complete(code),
+        max_intersection_complete=table.links.keys() <= code.words,
         locally_good=good,
         locally_great=great,
         mandatory_found=found,

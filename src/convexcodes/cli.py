@@ -5,7 +5,8 @@ realize-verify, goodcover, generate.  Analysis commands read a code or
 complex file (see :mod:`convexcodes.fileformat` for the format), print a
 human report or, with --json, a versioned machine report.  Exit status is
 0 unless --strict is given, in which case a No verdict exits 1 and an
-Unknown exits 2; usage errors exit 64 and unreadable input exits 65.
+Unknown exits 2; usage errors exit 64, unreadable input exits 65, and an
+internal failure of the package itself exits 70.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .complexes import (
     link,
     _face_sort_key,
 )
-from .errors import ConvexCodesError, ParseError
+from .errors import ConvexCodesError, InternalInconsistency, ParseError
 from .fileformat import emit_code, emit_complex, parse_code, parse_complex, parse_face
 from .homology import DEFAULT_PRIMES, BettiVector, reduced_betti
 from .instances import (
@@ -59,6 +60,7 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -480,9 +482,16 @@ def run(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except InternalInconsistency as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
     except ConvexCodesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:
+        # A bug, not a verdict or bad input: keep it off exit codes 1 and 65.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def entry() -> None:

@@ -51,10 +51,6 @@ def face_members(mask: Face) -> tuple[int, ...]:
     return tuple(out)
 
 
-def face_size(mask: Face) -> int:
-    return mask.bit_count()
-
-
 def face_label(mask: Face, n: int = 0) -> str:
     """Render a face for humans: compact digits when labels stay below 10."""
     if mask == 0:
@@ -326,16 +322,6 @@ def is_k_sparse(code: Code, k: int) -> bool:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return all(w.bit_count() <= k for w in code.words)
-
-
-def all_subfaces(mask: Face) -> Iterator[Face]:
-    """Every subset of a mask, the empty one included, unordered."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def simplex_faces(members: Iterable[int]) -> list[Face]:

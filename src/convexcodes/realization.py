@@ -27,7 +27,7 @@ from .collapse import Budget
 from .complexes import Code, closure, face_label, order_complex
 from .errors import EmptyInput, EmptyRegion, TooLarge
 from .homology import DEFAULT_PRIMES
-from .verdicts import R_ALL_REGIONS, R_VACUOUS, TriStatus, Verdict
+from .verdicts import R_ALL_REGIONS, TriStatus, for_all
 
 MAX_CELL_AMBIENT = 12
 
@@ -59,42 +59,6 @@ class ArrangementCell:
         return f"({face_label(self.positive)}|{z})"
 
 
-@dataclass(frozen=True)
-class CodeComplexRealization:
-    """Combinatorial content of the open-star cover of a code's complex.
-
-    ``neuron_faces`` maps each covered label i to the codewords containing
-    i; their open faces union to the cover set for i.  No coordinates are
-    stored, only which codeword interiors each set sweeps up.
-    """
-
-    code: Code
-    neuron_faces: tuple[tuple[int, frozenset[int]], ...]
-
-    def faces_for_neuron(self, i: int) -> frozenset[int]:
-        for label, faces in self.neuron_faces:
-            if label == i:
-                return faces
-        return frozenset()
-
-    def faces_containing(self, tau: int) -> frozenset[int]:
-        """Codewords over a whole face: the pieces of the intersection set."""
-        return frozenset(w for w in self.code.words if tau & ~w == 0 and w)
-
-
-def code_complex_realization(code: Code) -> CodeComplexRealization:
-    """Per-label codeword lists, the coordinate-free form of the cover."""
-    if not code.words:
-        raise EmptyInput("the code has no words")
-    per = []
-    for i in range(1, code.ambient_n + 1):
-        bit = 1 << (i - 1)
-        faces = frozenset(w for w in code.words if w & bit)
-        if faces:
-            per.append((i, faces))
-    return CodeComplexRealization(code, tuple(per))
-
-
 def code_link(code: Code, tau: int) -> Code:
     """Words disjoint from tau whose union with tau is a codeword.
 
@@ -105,13 +69,6 @@ def code_link(code: Code, tau: int) -> Code:
         raise EmptyInput("tau must be a nonempty face")
     words = frozenset(w ^ tau for w in code.words if tau & ~w == 0)
     return Code(code.ambient_n, words)
-
-
-def region_pieces(code: Code, tau: int) -> frozenset[int]:
-    """Codewords containing tau: the chambers making up the tau-intersection."""
-    if tau == 0:
-        raise EmptyInput("tau must be a nonempty face")
-    return frozenset(w for w in code.words if tau & ~w == 0)
 
 
 def v_region_contractibility(
@@ -126,7 +83,9 @@ def v_region_contractibility(
     The intersection deformation retracts to the order complex of the
     codewords containing tau, so the question is settled there, exactly.
     """
-    pieces = region_pieces(code, tau)
+    if tau == 0:
+        raise EmptyInput("tau must be a nonempty face")
+    pieces = frozenset(w for w in code.words if tau & ~w == 0)
     if not pieces:
         raise EmptyRegion(f"no codeword contains {face_label(tau)}")
     return contractibility_status(order_complex(pieces), budget, memo, primes)
@@ -247,17 +206,9 @@ def good_cover_check(
         raise EmptyInput("the code has no words")
     cx = closure(code)
     memo = {} if memo is None else memo
-    unknown_seen = None
-    checked = 0
-    for tau in cx.faces():
-        if tau == 0:
-            continue
-        checked += 1
-        st = v_region_contractibility(code, tau, budget, memo, primes)
-        if st.is_no:
-            return TriStatus(Verdict.NO, st.reason, witness=tau, certificate=st.certificate)
-        if st.is_unknown and unknown_seen is None:
-            unknown_seen = TriStatus(Verdict.UNKNOWN, st.reason, witness=tau)
-    if unknown_seen is not None:
-        return unknown_seen
-    return TriStatus(Verdict.YES, R_ALL_REGIONS if checked else R_VACUOUS)
+    checks = (
+        (tau, v_region_contractibility(code, tau, budget, memo, primes))
+        for tau in cx.faces()
+        if tau
+    )
+    return for_all(checks, R_ALL_REGIONS)

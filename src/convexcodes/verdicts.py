@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 
 class Verdict(enum.Enum):
@@ -62,3 +62,25 @@ class TriStatus:
     @property
     def is_unknown(self) -> bool:
         return self.value is Verdict.UNKNOWN
+
+
+def for_all(checks: Iterable[tuple[int, TriStatus]], yes_reason: str) -> TriStatus:
+    """Quantify a verdict over faces: the first No, else the first Unknown, else Yes.
+
+    ``checks`` yields (face, status) pairs and is consumed lazily, so the
+    checks after the first No never run.  No keeps the failing status's
+    reason and certificate and names the face as witness; Unknown keeps
+    the reason and witness of the first undecided face.  Yes carries
+    ``yes_reason``, or ``nothing-to-check`` when ``checks`` was empty.
+    """
+    unknown = None
+    checked = False
+    for face, st in checks:
+        checked = True
+        if st.is_no:
+            return TriStatus(Verdict.NO, st.reason, witness=face, certificate=st.certificate)
+        if st.is_unknown and unknown is None:
+            unknown = TriStatus(Verdict.UNKNOWN, st.reason, witness=face)
+    if unknown is not None:
+        return unknown
+    return TriStatus(Verdict.YES, yes_reason if checked else R_VACUOUS)

@@ -200,3 +200,32 @@ def naive_locally_good(code, budget=None, primes=(2, 3, 5)):
         if st.value is Verdict.UNKNOWN:
             saw_unknown = True
     return (Verdict.UNKNOWN, None) if saw_unknown else (Verdict.YES, None)
+
+
+def naive_locally_great(code, budget=None):
+    """Local greatness with no reduction of the quantifier.
+
+    Searches the link of every nonempty missing face of the code's
+    complex for a collapse, with no shortcut for cone links or for links
+    the contractibility ladder already settled.  Returns the verdict and
+    the first No face, else the first undecided face, else None.
+    """
+    from convexcodes.collapse import Budget, is_collapsible
+    from convexcodes.complexes import closure, link
+    from convexcodes.verdicts import Verdict
+
+    cx = closure(code)
+    budget = budget or Budget()
+    memo = {}
+    first_unknown = None
+    for sigma in cx.faces():
+        if sigma == 0 or sigma in code.words:
+            continue
+        status = is_collapsible(link(cx, sigma), "strict", budget, memo).status
+        if status is Verdict.NO:
+            return Verdict.NO, sigma
+        if status is Verdict.UNKNOWN and first_unknown is None:
+            first_unknown = sigma
+    if first_unknown is not None:
+        return Verdict.UNKNOWN, first_unknown
+    return Verdict.YES, None

@@ -255,6 +255,34 @@ def test_classify_two_edge_overlap():
     assert rep.locally_good.value is Verdict.YES
 
 
+def test_classify_builds_and_decides_each_link_once(monkeypatch):
+    from convexcodes import analysis
+
+    counted = ("closure", "facet_intersections", "link", "contractibility_status",
+               "is_collapsible")
+    codes = [counterexample_code(), cone_minus_apex(dunce_hat())]
+    codes += [random_code(6, seed) for seed in range(4)]
+    for code in codes:
+        cx = closure(code)
+        fi = facet_intersections(cx)
+        fi_links = {link(cx, sigma) for sigma in fi}
+        calls = {name: [] for name in counted}
+        with monkeypatch.context() as m:
+            for name in counted:
+                def record(*args, _fn=getattr(analysis, name), _calls=calls[name], **kw):
+                    _calls.append(args)
+                    return _fn(*args, **kw)
+
+                m.setattr(analysis, name, record)
+            analysis.classify(code)
+        assert len(calls["closure"]) == 1
+        assert len(calls["facet_intersections"]) == 1
+        assert sorted(args[1] for args in calls["link"]) == sorted(fi)
+        assert len(calls["contractibility_status"]) == len(fi)
+        # no search on a link outside the facet intersections: those are cones
+        assert all(args[0] in fi_links for args in calls["is_collapsible"])
+
+
 def test_chain_consistency():
     # locally great Yes forces locally good Yes; good No forces great No
     for seed in range(80):
@@ -274,11 +302,15 @@ def test_facet_intersection_reduction_matches_naive():
         direct = is_locally_good(code)
         naive_value, _ = oracles.naive_locally_good(code)
         assert direct.value is naive_value
+        great = is_locally_great(code)
+        assert (great.value, great.witness) == oracles.naive_locally_great(code)
     for seed in range(40):
         code = random_code(4, seed)
         direct = is_locally_good(code)
         naive_value, _ = oracles.naive_locally_good(code)
         assert direct.value is naive_value
+        great = is_locally_great(code)
+        assert (great.value, great.witness) == oracles.naive_locally_great(code)
 
 
 def test_empty_word_never_matters():

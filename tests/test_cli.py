@@ -7,7 +7,9 @@ from importlib import resources
 
 import pytest
 
+from convexcodes import cli
 from convexcodes.cli import run
+from convexcodes.errors import InternalInconsistency
 from convexcodes.fileformat import parse_code, parse_complex
 
 
@@ -215,3 +217,15 @@ def test_entry_point_subprocess(files):
     )
     assert out.returncode == 0
     assert "locally_good: Yes" in out.stdout
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"),
+                                 InternalInconsistency("great Yes but good No")])
+def test_internal_failure_exits_70(files, capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "classify", broken)
+    assert run(["classify", "--strict", files["counterexample"]]) == 70
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and err.count("\n") == 1

@@ -15,7 +15,6 @@ from convexcodes.instances import (
 from convexcodes.realization import (
     ArrangementCell,
     cell_region,
-    code_complex_realization,
     code_link,
     enumerate_cells,
     good_cover_check,
@@ -47,29 +46,6 @@ def test_cell_validation():
         ArrangementCell(0, F("1"))
     with pytest.raises(EmptyInput):
         ArrangementCell(F("12"), F("2"))
-
-
-def test_code_complex_realization_examples():
-    r = code_complex_realization(two_edge_overlap_code())
-    per = dict(r.neuron_faces)
-    assert per[1] == words("123", "12", "1")
-    assert per[2] == words("123", "12", "23", "2")
-    assert per[3] == words("123", "23")
-    r = code_complex_realization(broken_line_code())
-    assert dict(r.neuron_faces)[3] == words("13", "23")
-    r = code_complex_realization(Code(1, frozenset({1})))
-    assert dict(r.neuron_faces)[1] == frozenset({1})
-
-
-def test_code_complex_realization_covers_all_words():
-    for seed in range(20):
-        code = random_code(5, seed)
-        r = code_complex_realization(code)
-        union = frozenset().union(*(fs for _, fs in r.neuron_faces))
-        assert union == code.words - {0}
-        assert r.faces_containing(F("12")) == {
-            w for w in code.words if F("12") & ~w == 0 and w
-        }
 
 
 def test_code_link_examples():

@@ -21,7 +21,6 @@ from .collapse import (
     Budget,
     CollapseOutcome,
     CollapseStep,
-    available_kernels,
     certifies_collapse,
     elementary_collapse,
     free_pairs,
@@ -72,7 +71,6 @@ __all__ = [
     "SimplicialComplex",
     "TriStatus",
     "Verdict",
-    "available_kernels",
     "boundary_matrix",
     "cell_region",
     "certifies_collapse",

@@ -1,9 +1,10 @@
-"""Pure-Python kernel for the collapsibility search.
+"""The collapsibility search kernel, in pure Python.
 
-This is the reference implementation; the compiled kernel in
-``_collapse_cy.pyx`` mirrors it operation for operation, including the
-ordering of candidate steps and the random-number stream of the greedy
-walks, so both produce identical decisions, certificates, and node counts.
+This is the package's only search kernel; ``collapse`` wraps it.  Candidate
+steps are tried in (|sigma|, sigma) order and the greedy walks draw from a
+fixed 64-bit LCG, so decisions, certificates and node counts depend only
+on the input, the seed and the budget.  The exhaustive search keeps its
+own stack, so its depth is not bounded by Python's recursion limit.
 
 States are tuples of facet masks sorted ascending.  The memo table maps
 ``(mode, state)`` to ``(decision, sigma, tau)``: decision 1 entries carry
@@ -120,34 +121,60 @@ def _greedy_walk(start, mode, seed, restart, budget, table, memoize, counters):
 
 
 def _dfs(state, mode, budget, table, memoize, counters):
-    if is_point(state):
-        return 1
-    key = (mode, state)
-    if memoize:
-        hit = table.get(key)
-        if hit is not None:
-            return hit[0]
-    if counters[0] >= budget:
-        counters[1] = 1
-        return -1
-    counters[0] += 1
-    pairs = free_pairs(state, mode)
-    if not pairs:
-        table[key] = (0, 0, 0)
-        return 0
-    saw_unknown = False
-    for s, t in pairs:
-        r = _dfs(apply_step(state, s, t), mode, budget, table, memoize, counters)
-        if r == 1:
-            table[key] = (1, s, t)
-            return 1
-        if r == -1:
-            saw_unknown = True
-    if saw_unknown:
-        # cannot conclude No: some branch was cut off by the budget
-        return -1
-    table[key] = (0, 0, 0)
-    return 0
+    """Exhaustive backtracking below ``state``: 1, 0, or -1 as in ``search``.
+
+    Depth-first over free pairs in order, with an explicit stack of frames
+    [key, pairs, index of the branch being explored, saw_unknown].  Node
+    counts and memo writes follow the order of the plain recursion.
+    """
+    stack = []
+    while True:
+        # enter state: settle it at once, or open a frame for its branches
+        r = None
+        if is_point(state):
+            r = 1
+        else:
+            key = (mode, state)
+            hit = table.get(key) if memoize else None
+            if hit is not None:
+                r = hit[0]
+            elif counters[0] >= budget:
+                counters[1] = 1
+                r = -1
+            else:
+                counters[0] += 1
+                pairs = free_pairs(state, mode)
+                if pairs:
+                    stack.append([key, pairs, 0, False])
+                else:
+                    table[key] = (0, 0, 0)
+                    r = 0
+        # hand r up the stack until a frame has a branch left to enter
+        while stack:
+            frame = stack[-1]
+            key, pairs, i, _ = frame
+            if r is not None:
+                if r == 1:
+                    s, t = pairs[i]
+                    table[key] = (1, s, t)
+                    stack.pop()
+                    continue
+                if r == -1:
+                    frame[3] = True
+                i = frame[2] = i + 1
+            if i < len(pairs):
+                s, t = pairs[i]
+                state = apply_step(key[1], s, t)
+                break
+            stack.pop()
+            if frame[3]:
+                # cannot conclude No: some branch was cut off by the budget
+                r = -1
+            else:
+                table[key] = (0, 0, 0)
+                r = 0
+        else:
+            return r
 
 
 def search(facets, mode, budget, seed, restarts, table, memoize):

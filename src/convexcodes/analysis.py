@@ -12,15 +12,20 @@ here is decided at the level of links inside the code's complex:
 * a code is locally great when every missing face has a collapsible link,
   a strictly stronger, fully decidable demand.  Every missing face is
   walked, but only facet intersections need checking, for the same
-  reason: a cone is collapsible.
+  reason: a cone is collapsible.  Nor is a link searched when nonzero
+  Betti numbers already proved it not contractible; such a No reports
+  ``nodes_explored`` 0.
 
 Both verdicts and the mandatory codewords are read off one link table per
 code: each facet intersection with its link and the link's
 contractibility verdict, each built once and sharing one search memo.
 
 Contractibility itself is semidecidable, so the checker climbs a ladder of
-exact special cases (graphs, cones), then collapsibility, then homology,
-and answers Unknown only when every rung fails inside budget.
+exact special cases (graphs, cones), then homology, then collapsibility,
+and answers Unknown only when every rung fails inside budget.  Homology
+comes before the search because it is cheap and collapsibility
+recognition is NP-complete: a nonzero reduced Betti number proves the link
+neither contractible nor collapsible, so no search runs on such a link.
 """
 
 from __future__ import annotations
@@ -64,8 +69,9 @@ IMPLICATION_NOTES = (
 
 def _graph_summary(cx: SimplicialComplex) -> dict:
     """Vertex, edge, and component counts of a complex of dimension <= 1."""
-    verts = [f for f in cx.faces() if f.bit_count() == 1]
-    edges = [f for f in cx.faces() if f.bit_count() == 2]
+    faces = list(cx.faces())
+    verts = [f for f in faces if f.bit_count() == 1]
+    edges = [f for f in faces if f.bit_count() == 2]
     parent = {v: v for v in verts}
 
     def find(x):
@@ -94,10 +100,11 @@ def contractibility_status(
 
     Strategy ladder, in order: exact graph test for dimension <= 1 (a graph
     is contractible exactly when it is a tree, and the empty and multi-point
-    complexes fail), cone detection (a vertex lying in every facet), a
-    collapsibility certificate, then nonvanishing reduced homology over the
-    given primes as a disproof.  A complex that is acyclic yet admits no
-    collapse within budget stays Unknown.
+    complexes fail), cone detection (a vertex lying in every facet),
+    nonvanishing reduced homology over the given primes as a disproof, then
+    a collapsibility certificate from the greedy walks and the exhaustive
+    search.  A complex that is acyclic yet admits no collapse within budget
+    stays Unknown.
     """
     if cx.is_void:
         raise VoidComplex("contractibility of the void complex is undefined")
@@ -116,13 +123,13 @@ def contractibility_status(
     if common:
         apex = common & -common
         return TriStatus(Verdict.YES, R_CONE_APEX, certificate=apex)
-    outcome = is_collapsible(cx, "strict", budget, memo)
-    if outcome.status is Verdict.YES:
-        return TriStatus(Verdict.YES, R_COLLAPSE_CERT, certificate=outcome.certificate)
     for p in primes:
         bv = reduced_betti(cx, p)
         if not bv.is_zero():
             return TriStatus(Verdict.NO, R_NONZERO_BETTI, certificate=bv)
+    outcome = is_collapsible(cx, "strict", budget, memo)
+    if outcome.status is Verdict.YES:
+        return TriStatus(Verdict.YES, R_COLLAPSE_CERT, certificate=outcome.certificate)
     reason = R_BUDGET if outcome.budget_exhausted else R_INCONCLUSIVE
     return TriStatus(Verdict.UNKNOWN, reason)
 
@@ -156,9 +163,10 @@ def _check_code(code: Code) -> SimplicialComplex:
 
 
 # Ladder rungs that also settle collapsibility exactly: a graph collapses
-# to a point exactly when it is a tree, and cones and collapse
-# certificates are collapsible by construction.
-_COLLAPSE_EXACT_RUNGS = (R_TREE_TEST, R_CONE_APEX, R_COLLAPSE_CERT)
+# to a point exactly when it is a tree, cones and collapse certificates
+# are collapsible by construction, and a collapsible complex is
+# contractible, so it has no nonzero reduced Betti number.
+_COLLAPSE_EXACT_RUNGS = (R_TREE_TEST, R_CONE_APEX, R_COLLAPSE_CERT, R_NONZERO_BETTI)
 
 
 class _LinkTable:
@@ -258,11 +266,12 @@ def is_locally_great(
     Quantifies over all nonempty faces of the complex outside the code,
     but checks only facet intersections: any other face has a cone link,
     which is collapsible.  A link the contractibility ladder settled by a
-    tree test, cone apex or collapse certificate keeps that verdict; the
-    rest get the exhaustive search.  Within budget every answer is Yes or
-    No; No carries the witness face and, as ``nodes_explored``, the node
-    count of the search that decided its link in this run (0 after a tree
-    test or a memo hit).
+    tree test, cone apex, nonzero Betti number or collapse certificate
+    keeps that verdict; the rest get the exhaustive search.  Within budget
+    every answer is Yes or No; No carries the witness face and, as
+    ``nodes_explored``, the node count of the search that decided its link
+    in this run (0 when a tree test or nonzero Betti numbers decided it, or
+    after a memo hit).
     """
     return _LinkTable(code, budget, memo, DEFAULT_PRIMES).locally_great()
 

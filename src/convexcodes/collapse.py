@@ -11,15 +11,12 @@ test suite checks by running both engines side by side.
 ``is_collapsible`` is an exhaustive backtracking search over step choices,
 so a No is a theorem (every branch explored), a Yes carries a replayable
 step sequence ending at a single point, and Unknown happens only when the
-node budget runs out.  The search is delegated to one of two interchangeable
-kernels: a compiled Cython extension when it built, else a pure-Python
-twin.  Set the environment variable ``CONVEXCODES_PURE_KERNEL=1`` before
-import to force the pure kernel.
+node budget runs out.  The search itself runs in one pure-Python kernel,
+``_collapse_py``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,15 +25,6 @@ from .errors import IllegalStep, VoidComplex
 from .verdicts import Verdict
 
 from . import _collapse_py
-
-_COMPILED = None
-if not os.environ.get("CONVEXCODES_PURE_KERNEL"):
-    try:
-        from . import _collapse_cy as _COMPILED
-    except ImportError:
-        _COMPILED = None
-
-_impl = _COMPILED if _COMPILED is not None else _collapse_py
 
 MODES = {
     "generalized": _collapse_py.MODE_GENERALIZED,
@@ -50,15 +38,7 @@ DEFAULT_NODE_BUDGET = 5_000_000
 
 def kernel_name() -> str:
     """Which search kernel this process is using."""
-    return _impl.KERNEL_NAME
-
-
-def available_kernels() -> dict:
-    """Importable kernels by name, for benchmarks and parity tests."""
-    kernels = {_collapse_py.KERNEL_NAME: _collapse_py}
-    if _COMPILED is not None:
-        kernels[_COMPILED.KERNEL_NAME] = _COMPILED
-    return kernels
+    return _collapse_py.KERNEL_NAME
 
 
 @dataclass(frozen=True)
@@ -113,17 +93,8 @@ def free_pairs(cx: SimplicialComplex, mode: str = "collapse") -> list[CollapseSt
     returned tau.  The single point has no collapse-mode steps but one
     generalized step (the point paired with itself).
     """
-    pairs = _run_pairs(tuple(cx.facets), _mode_id(mode))
+    pairs = _collapse_py.free_pairs(tuple(cx.facets), _mode_id(mode))
     return [CollapseStep(s, t) for s, t in pairs]
-
-
-def _run_pairs(facets: tuple[int, ...], mode: int):
-    if _impl is _collapse_py:
-        return _collapse_py.free_pairs(facets, mode)
-    try:
-        return _impl.free_pairs(facets, mode)
-    except _COMPILED.KernelCapacity:
-        return _collapse_py.free_pairs(facets, mode)
 
 
 def elementary_collapse(cx: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
@@ -171,17 +142,9 @@ def is_collapsible(
         raise ValueError(f"unknown engine {engine!r}; pick from {ENGINES}")
     mode = _mode_id(engine)
     table = memo if memo is not None else {}
-    args = (tuple(cx.facets), mode, budget.nodes, budget.seed,
-            budget.greedy_restarts, table, memoize)
-    if _impl is _collapse_py:
-        status, steps, nodes = _collapse_py.search(*args)
-    else:
-        try:
-            status, steps, nodes = _impl.search(*args)
-        except _COMPILED.KernelCapacity:
-            status, steps, nodes = _collapse_py.search(
-                tuple(cx.facets), mode, budget.nodes, budget.seed,
-                budget.greedy_restarts, {}, memoize)
+    status, steps, nodes = _collapse_py.search(
+        tuple(cx.facets), mode, budget.nodes, budget.seed,
+        budget.greedy_restarts, table, memoize)
     return _outcome(status, steps, nodes)
 
 
@@ -199,13 +162,7 @@ def greedy_collapse(
     if cx.is_void:
         raise VoidComplex("collapsibility of the void complex is undefined")
     mode = _mode_id(engine)
-    if _impl is _collapse_py:
-        status, steps, nodes = _collapse_py.greedy(tuple(cx.facets), mode, seed, restarts)
-    else:
-        try:
-            status, steps, nodes = _impl.greedy(tuple(cx.facets), mode, seed, restarts)
-        except _COMPILED.KernelCapacity:
-            status, steps, nodes = _collapse_py.greedy(tuple(cx.facets), mode, seed, restarts)
+    status, steps, nodes = _collapse_py.greedy(tuple(cx.facets), mode, seed, restarts)
     return _outcome(status, steps, nodes)
 
 

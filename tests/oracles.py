@@ -229,3 +229,41 @@ def naive_locally_great(code, budget=None):
     if first_unknown is not None:
         return Verdict.UNKNOWN, first_unknown
     return Verdict.YES, None
+
+
+def recursive_dfs(state, mode, budget, table, memoize, counters):
+    """The collapse kernel's exhaustive search written as plain recursion.
+
+    Same contract as ``convexcodes._collapse_py._dfs``; the kernel keeps an
+    explicit stack instead, and must match this node for node and memo
+    entry for memo entry.  Depth is bounded by Python's recursion limit.
+    """
+    from convexcodes._collapse_py import apply_step, free_pairs, is_point
+
+    if is_point(state):
+        return 1
+    key = (mode, state)
+    if memoize:
+        hit = table.get(key)
+        if hit is not None:
+            return hit[0]
+    if counters[0] >= budget:
+        counters[1] = 1
+        return -1
+    counters[0] += 1
+    pairs = free_pairs(state, mode)
+    if not pairs:
+        table[key] = (0, 0, 0)
+        return 0
+    saw_unknown = False
+    for s, t in pairs:
+        r = recursive_dfs(apply_step(state, s, t), mode, budget, table, memoize, counters)
+        if r == 1:
+            table[key] = (1, s, t)
+            return 1
+        if r == -1:
+            saw_unknown = True
+    if saw_unknown:
+        return -1
+    table[key] = (0, 0, 0)
+    return 0

@@ -1,5 +1,7 @@
 """The classification pipeline: mandatory words, locally good, locally great."""
 
+import time
+
 import pytest
 
 from convexcodes.analysis import (
@@ -37,6 +39,8 @@ from convexcodes.verdicts import (
     R_COLLAPSE_CERT,
     R_CONE_APEX,
     R_INCONCLUSIVE,
+    R_NONZERO_BETTI,
+    R_NOT_COLLAPSIBLE,
     R_TREE_TEST,
     R_VACUOUS,
     Verdict,
@@ -67,6 +71,31 @@ def test_contractibility_triangle_boundary():
 def test_contractibility_dunce_hat_unknown():
     st = contractibility_status(dunce_hat())
     assert st.value is Verdict.UNKNOWN and st.reason == R_INCONCLUSIVE
+
+
+def test_contractibility_nonzero_betti_needs_no_search(monkeypatch):
+    from convexcodes import analysis
+
+    def no_search(*args, **kw):
+        raise AssertionError("homology decides this link before any search")
+
+    monkeypatch.setattr(analysis, "is_collapsible", no_search)
+    # boundary of a tetrahedron: a 2-sphere, no cone, reduced beta_2 = 1
+    sphere = SimplicialComplex.from_facets(4, [F("123"), F("124"), F("134"), F("234")])
+    st = contractibility_status(sphere)
+    assert st.value is Verdict.NO and st.reason == R_NONZERO_BETTI
+
+
+def test_classify_random_code_8_1_is_fast():
+    # its links are decided by homology in milliseconds, where an
+    # exhaustive search ahead of homology took minutes
+    start = time.perf_counter()
+    rep = classify(random_code(8, 1))
+    assert time.perf_counter() - start < 10.0
+    assert rep.locally_good.value is Verdict.NO and rep.locally_good.witness == 1
+    great = rep.locally_great
+    assert great.value is Verdict.NO and great.reason == R_NOT_COLLAPSIBLE
+    assert great.witness == 1
 
 
 def test_contractibility_budget_exhaustion():

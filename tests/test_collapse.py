@@ -1,15 +1,11 @@
 """Elementary collapses and the exhaustive collapsibility search."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
+from convexcodes import _collapse_py
 from convexcodes.collapse import (
     Budget,
     CollapseStep,
-    available_kernels,
     certifies_collapse,
     elementary_collapse,
     free_pairs,
@@ -275,33 +271,47 @@ def test_step_rendering():
     assert str(CollapseStep(F("1"), F("123"))) == "(1,123)"
 
 
-@pytest.mark.skipif(
-    "compiled" not in available_kernels(), reason="compiled kernel not built"
-)
-def test_kernels_agree_exactly():
-    from convexcodes import _collapse_cy, _collapse_py
+def _search_both_ways(monkeypatch, facets, mode, budget, restarts, memoize, memos):
+    """Run the kernel's search with its own DFS, then with the recursive oracle."""
+    results = []
+    for dfs, memo in zip((_collapse_py._dfs, oracles.recursive_dfs), memos):
+        with monkeypatch.context() as m:
+            m.setattr(_collapse_py, "_dfs", dfs)
+            results.append(_collapse_py.search(facets, mode, budget, 0, restarts, memo, memoize))
+    return results
 
-    for seed in range(40):
-        cx = random_complex(6, seed)
-        if cx.is_void:
-            continue
-        facets = tuple(cx.facets)
+
+def test_iterative_dfs_matches_recursion(monkeypatch):
+    inputs = [tuple(random_complex(6, seed).facets) for seed in range(40)]
+    settings = [(200_000, 2, True), (200_000, 0, True), (7, 0, True), (2_000, 0, False)]
+    for facets in inputs:
         for mode in (1, 2):
-            a = _collapse_py.search(facets, mode, 200_000, 0, 2, {}, True)
-            b = _collapse_cy.search(facets, mode, 200_000, 0, 2, {}, True)
-            assert a == b
-            assert _collapse_py.greedy(facets, mode, seed, 2) == _collapse_cy.greedy(
-                facets, mode, seed, 2
-            )
-        for mode in (0, 1, 2):
-            assert _collapse_py.free_pairs(facets, mode) == _collapse_cy.free_pairs(
-                facets, mode
-            )
+            for budget, restarts, memoize in settings:
+                memos = ({}, {})
+                a, b = _search_both_ways(monkeypatch, facets, mode, budget, restarts,
+                                         memoize, memos)
+                assert a == b and memos[0] == memos[1], (facets, mode, budget)
+    # one memo shared across every small complex, as classify shares it
+    shared = ({}, {})
+    for cx in all_facet_antichains(4):
+        for mode in (1, 2):
+            a, b = _search_both_ways(monkeypatch, tuple(cx.facets), mode, 200_000, 0,
+                                     True, shared)
+            assert a == b and shared[0] == shared[1], (cx.facets, mode)
 
 
-def test_capacity_overflow_falls_back():
-    # 2-skeleton of a 13-vertex simplex: 286 facets, beyond the compiled
-    # kernel's table, and with no free pair it is a 1-node No either way
+def test_deep_search_needs_no_recursion():
+    # with no greedy walk, the search runs 2047 nodes deep into the
+    # 12-simplex; a recursive search overflows Python's stack there
+    cx = closure(Code(12, frozenset({(1 << 12) - 1})))
+    out = is_collapsible(cx, budget=Budget(greedy_restarts=0))
+    assert out.status is Verdict.YES and out.nodes_explored == 2047
+    assert certifies_collapse(cx, out.certificate)
+
+
+def test_large_complex_without_free_pairs_is_one_node_no():
+    # 2-skeleton of a 13-vertex simplex: 286 facets, every edge in 11 of
+    # them, so the root has no free pair and the search stops there
     faces = [face_of(t) for t in __import__("itertools").combinations(range(1, 14), 3)]
     cx = SimplicialComplex.from_facets(13, faces)
     assert len(cx.facets) == 286
@@ -310,18 +320,5 @@ def test_capacity_overflow_falls_back():
     assert out.status is Verdict.NO and out.nodes_explored == 1
 
 
-def test_pure_kernel_env_override():
-    code = (
-        "import convexcodes\n"
-        "print(convexcodes.kernel_name())\n"
-    )
-    env = dict(os.environ, CONVEXCODES_PURE_KERNEL="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "pure-python"
-
-
 def test_kernel_name_reports_selection():
-    assert kernel_name() in available_kernels()
+    assert kernel_name() == "pure-python"

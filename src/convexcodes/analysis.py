@@ -142,18 +142,16 @@ def facet_intersections(cx: SimplicialComplex) -> frozenset[int]:
     """
     if cx.is_void:
         raise VoidComplex("the void complex has no facets")
-    current = frozenset(f for f in cx.facets if f)
-    while True:
-        fresh = set()
-        members = sorted(current)
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                c = a & b
-                if c and c not in current:
-                    fresh.add(c)
-        if not fresh:
-            return current
-        current = current | fresh
+    facets = [f for f in cx.facets if f]
+    members = set(facets)
+    # An intersection of k facets is an intersection of k - 1 facets cut
+    # by one more facet, so each round cuts only the previous round's
+    # new members.
+    fresh = facets
+    while fresh:
+        fresh = {c for a in fresh for f in facets if (c := a & f) and c not in members}
+        members |= fresh
+    return frozenset(members)
 
 
 def _check_code(code: Code) -> SimplicialComplex:

@@ -19,8 +19,9 @@ computed downstream, which is why most operations quietly skip it.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 from .errors import EmptyInput, LabelOutOfRange, NotAFace, VertexInUse
 
@@ -139,12 +140,20 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, n: int, candidates: Iterable[Face]) -> "SimplicialComplex":
-        """Normalize an arbitrary family of faces into its maximal antichain."""
-        cand = set(candidates)
-        maximal = tuple(
-            sorted(f for f in cand if not any(f != g and f & ~g == 0 for g in cand))
-        )
-        return cls(n, maximal)
+        """Normalize an arbitrary family of faces into its maximal antichain.
+
+        Candidates are scanned by decreasing size, so a strict superset of a
+        candidate is seen before it; a candidate inside a discarded one is
+        inside a kept one too, so testing against the kept faces suffices.
+        """
+        kept: list[Face] = []
+        for f in sorted(set(candidates), key=int.bit_count, reverse=True):
+            for g in kept:
+                if f & ~g == 0:
+                    break
+            else:
+                kept.append(f)
+        return cls(n, tuple(sorted(kept)))
 
     @classmethod
     def from_vertex_lists(cls, n: int, lists: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -167,32 +176,46 @@ class SimplicialComplex:
     def __contains__(self, mask: Face) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
 
+    # Lazy cache, filled at most once per instance.  It is a plain class
+    # attribute, not a dataclass field, so equality, hashing and repr
+    # ignore it.
+    _faces: ClassVar[tuple[Face, ...] | None] = None
+
+    def _all_faces(self) -> tuple[Face, ...]:
+        """Every face in (size, mask) order, enumerated on first use."""
+        faces = self._faces
+        if faces is None:
+            seen: set[Face] = set()
+            for f in self.facets:
+                sub = f
+                while True:
+                    seen.add(sub)
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & f
+            faces = tuple(sorted(sorted(seen), key=int.bit_count))
+            object.__setattr__(self, "_faces", faces)
+        return faces
+
+    def _size_offset(self, size: int) -> int:
+        """Index in the face order of the first face of at least this size."""
+        return bisect_left(self._all_faces(), size, key=int.bit_count)
+
     def faces(self) -> Iterator[Face]:
         """All faces, the empty face included, in (size, mask) order."""
-        seen: set[Face] = set()
-        for f in self.facets:
-            sub = f
-            while True:
-                seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-        return iter(sorted(seen, key=_face_sort_key))
+        return iter(self._all_faces())
 
     def faces_of_dim(self, k: int) -> list[Face]:
         """The k-faces sorted by mask value; k = -1 names the empty face."""
-        return sorted(f for f in self.faces() if f.bit_count() == k + 1)
+        return list(self._all_faces()[self._size_offset(k + 1) : self._size_offset(k + 2)])
 
     def num_faces(self) -> int:
-        return sum(1 for _ in self.faces())
+        return len(self._all_faces())
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts of faces per dimension 0..dim; the empty face is not counted."""
-        counts = [0] * (self.dimension() + 1)
-        for f in self.faces():
-            if f:
-                counts[f.bit_count() - 1] += 1
-        return tuple(counts)
+        offsets = [self._size_offset(s) for s in range(1, self.dimension() + 3)]
+        return tuple(b - a for a, b in zip(offsets, offsets[1:]))
 
     def vertices(self) -> tuple[int, ...]:
         mask = 0
@@ -223,10 +246,7 @@ def closure(code: Code) -> SimplicialComplex:
 
 
 def maximal_codewords(code: Code) -> frozenset[Face]:
-    words = code.words
-    return frozenset(
-        w for w in words if not any(w != u and w & ~u == 0 for u in words)
-    )
+    return frozenset(closure(code).facets)
 
 
 def link(cx: SimplicialComplex, sigma: Face) -> SimplicialComplex:

@@ -1,11 +1,16 @@
 """Reduced simplicial homology over small prime fields.
 
-All arithmetic is exact: matrices hold small nonnegative integers below p
+All arithmetic is exact: entries are small nonnegative integers below p
 and ranks come from Gaussian elimination mod p, so a zero Betti number is
 a proof, not a numerical accident.  The augmented chain complex is used
 throughout (the empty face generates degree -1), which folds the usual
 connectedness correction into the rank bookkeeping: reduced Betti 0 is the
 component count minus one with no special casing.
+
+Boundary matrices are sparse and stored by column, in plain Python: over
+F_2 a column is an int whose set bits are its nonzero rows, and ranks come
+from an XOR basis keyed by each column's leading bit; over odd primes a
+column is a ``{row: entry}`` dict, eliminated against sparse pivot columns.
 
 Face order is pinned for reproducibility: within each dimension, masks
 ascend, and dimensions ascend across the complex.
@@ -15,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .complexes import SimplicialComplex, face_members
+from .complexes import SimplicialComplex
 from .errors import DimensionOutOfRange, VoidComplex
 
 DEFAULT_PRIMES = (2, 3, 5)
@@ -34,17 +37,44 @@ class BettiVector:
         return not any(self.betti)
 
 
+@dataclass(frozen=True)
+class BoundaryMatrix:
+    """A boundary map over F_p, stored column by column.
+
+    Column j is the boundary of the j-th k-face.  For p = 2 it is an int
+    whose bit i is set when row i holds a 1; for odd p it is a dict from
+    row index to the row's nonzero entry in 1..p-1.  ``shape`` is
+    (rows, columns) and ``tolist`` gives the dense rows.
+    """
+
+    shape: tuple[int, int]
+    p: int
+    columns: tuple
+
+    def tolist(self) -> list[list[int]]:
+        nrows, ncols = self.shape
+        dense = [[0] * ncols for _ in range(nrows)]
+        for j, col in enumerate(self.columns):
+            if self.p == 2:
+                col = {i: 1 for i in range(col.bit_length()) if col >> i & 1}
+            for i, entry in col.items():
+                dense[i][j] = entry
+        return dense
+
+
 def _check_prime(p: int) -> None:
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise ValueError(f"field characteristic {p} is not prime")
 
 
-def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> np.ndarray:
-    """Mod-p matrix of the boundary map from k-chains to (k-1)-chains.
+def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> BoundaryMatrix:
+    """Mod-p boundary map from k-chains to (k-1)-chains, as sparse columns.
 
     Rows are the (k-1)-faces and columns the k-faces, each sorted by mask
     value; for k = 0 the single row is the empty face and the map is the
     augmentation.  Signs alternate along each face's ascending vertex list.
+    Returns a :class:`BoundaryMatrix`; earlier releases returned a dense
+    integer array, whose entries ``tolist()`` still reproduces.
     """
     _check_prime(p)
     dim = cx.dimension()
@@ -52,42 +82,71 @@ def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> np.ndarray:
         raise DimensionOutOfRange(f"k={k} outside 0..{dim}")
     rows = cx.faces_of_dim(k - 1)
     cols = cx.faces_of_dim(k)
-    row_index = {f: i for i, f in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, face in enumerate(cols):
-        sign = 1
-        for v in face_members(face):
-            sub = face & ~(1 << (v - 1))
-            mat[row_index[sub], j] = (mat[row_index[sub], j] + sign) % p
-            sign = -sign
-    return mat % p
+    columns = []
+    if p == 2:
+        row_bit = {f: 1 << i for i, f in enumerate(rows)}
+        for face in cols:
+            col = 0
+            rest = face
+            while rest:
+                low = rest & -rest
+                col |= row_bit[face ^ low]
+                rest ^= low
+            columns.append(col)
+    else:
+        row_index = {f: i for i, f in enumerate(rows)}
+        for face in cols:
+            col = {}
+            entry = 1
+            rest = face
+            while rest:
+                low = rest & -rest
+                col[row_index[face ^ low]] = entry
+                entry = p - entry
+                rest ^= low
+            columns.append(col)
+    return BoundaryMatrix((len(rows), len(cols)), p, tuple(columns))
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank by in-place Gaussian elimination over F_p; exact integer math."""
+def rank_mod_p(mat: BoundaryMatrix, p: int) -> int:
+    """Rank over F_p by exact elimination of the sparse columns.
+
+    Over F_2 each column is reduced against an XOR basis keyed by leading
+    bit; over odd p, against pivot columns keyed by their largest row and
+    scaled to a pivot entry of 1.
+    """
     _check_prime(p)
-    m = (np.array(mat, dtype=np.int64) % p).copy()
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if m[r, col]:
-                pivot = r
+    if mat.p != p:
+        raise ValueError(f"matrix is over F_{mat.p}, not F_{p}")
+    if p == 2:
+        basis: dict[int, int] = {}
+        for col in mat.columns:
+            while col:
+                top = col.bit_length() - 1
+                pivot = basis.get(top)
+                if pivot is None:
+                    basis[top] = col
+                    break
+                col ^= pivot
+        return len(basis)
+    pivots: dict[int, dict[int, int]] = {}
+    for col in mat.columns:
+        col = dict(col)
+        while col:
+            top = max(col)
+            pivot = pivots.get(top)
+            if pivot is None:
+                inv = pow(col[top], p - 2, p)
+                pivots[top] = {i: x * inv % p for i, x in col.items()}
                 break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        below = m[rank + 1 :, col].copy()
-        if below.any():
-            m[rank + 1 :] = (m[rank + 1 :] - np.outer(below, m[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+            c = col[top]
+            for i, x in pivot.items():
+                y = (col.get(i, 0) - c * x) % p
+                if y:
+                    col[i] = y
+                else:
+                    del col[i]
+    return len(pivots)
 
 
 def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:

@@ -2,8 +2,8 @@
 
 Everything here is written straight from the definitions with frozensets
 of labels and plain Python arithmetic, deliberately avoiding the bit-mask
-and numpy machinery of the package, so agreement is evidence rather than
-tautology.
+and sparse-column machinery of the package, so agreement is evidence
+rather than tautology.
 """
 
 from itertools import combinations

@@ -133,6 +133,27 @@ def test_facet_intersections_examples():
     assert facet_intersections(single) == frozenset({F("12")})
 
 
+def test_facet_intersections_match_all_intersections():
+    from itertools import combinations
+
+    from convexcodes.instances import random_complex
+
+    for seed in range(40):
+        cx = random_complex(6, seed)
+        if cx.is_void:
+            continue
+        want = set()
+        for r in range(1, len(cx.facets) + 1):
+            for group in combinations(cx.facets, r):
+                meet = group[0]
+                for f in group[1:]:
+                    meet &= f
+                if meet:
+                    want.add(meet)
+        assert facet_intersections(cx) == frozenset(want)
+    assert facet_intersections(SimplicialComplex(3, (0,))) == frozenset()
+
+
 def test_facet_intersections_closed_under_meet():
     from convexcodes.instances import random_complex
 

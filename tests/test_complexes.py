@@ -79,6 +79,38 @@ def test_from_facets_discards_dominated():
     assert cx.facets == (F("123"),)
 
 
+def test_from_facets_matches_maximal_sets():
+    rng = random.Random(5)
+    for _ in range(200):
+        family = [rng.randrange(1 << 6) for _ in range(rng.randrange(12))]
+        cx = SimplicialComplex.from_facets(6, family)
+        want = oracles.maximal_sets(oracles.to_set(f) for f in family)
+        assert cx.facets == tuple(sorted(oracles.to_mask(s) for s in want))
+    assert SimplicialComplex.from_facets(3, []).facets == ()
+    assert SimplicialComplex.from_facets(3, [0, 0]).facets == (0,)
+    assert SimplicialComplex.from_facets(3, [0, F("2")]).facets == (F("2"),)
+
+
+def test_face_cache_matches_brute_force():
+    complexes = [random_complex(6, seed) for seed in range(40)]
+    complexes += [SimplicialComplex.void(3), SimplicialComplex(3, (0,))]
+    for cx in complexes:
+        faces = {oracles.to_mask(s) for s in oracles.complex_faces(cx)} if cx.facets else set()
+        by_size = sorted(faces, key=lambda f: (f.bit_count(), f))
+        dim = cx.dimension()
+        assert list(cx.faces()) == by_size
+        assert list(cx.faces()) == by_size  # a second pass reads the cache
+        for k in range(-2, dim + 3):
+            assert cx.faces_of_dim(k) == [f for f in by_size if f.bit_count() == k + 1]
+        assert cx.f_vector() == tuple(
+            sum(1 for f in faces if f.bit_count() == k + 1) for k in range(dim + 1)
+        )
+        assert cx.num_faces() == len(faces)
+        # the cache is not part of the value
+        fresh = SimplicialComplex(cx.ambient_n, cx.facets)
+        assert cx == fresh and hash(cx) == hash(fresh) and repr(cx) == repr(fresh)
+
+
 def test_void_vs_empty_face_complex():
     void = SimplicialComplex.void(2)
     empty = SimplicialComplex(2, (0,))
@@ -235,6 +267,8 @@ def test_maximal_codewords():
     code = C(4, "12", "123", "4", "23")
     assert maximal_codewords(code) == frozenset({F("123"), F("4")})
     assert maximal_codewords(Code(2, frozenset())) == frozenset()
+    assert maximal_codewords(Code(2, frozenset({0}))) == frozenset({0})
+    assert maximal_codewords(C(3, 0, "1", "12", "3")) == frozenset({F("12"), F("3")})
 
 
 def test_canonical_key_injective():

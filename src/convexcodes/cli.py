@@ -41,7 +41,7 @@ from .complexes import (
 )
 from .errors import ConvexCodesError, InternalInconsistency, ParseError
 from .fileformat import emit_code, emit_complex, parse_code, parse_complex, parse_face
-from .homology import DEFAULT_PRIMES, BettiVector, reduced_betti
+from .homology import DEFAULT_PRIMES, BettiVector, _check_prime, reduced_betti
 from .instances import (
     c_n,
     connected_not_goodcover_code,
@@ -75,7 +75,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConvexCodesError(f"cannot read {path}: {exc}") from exc
 
 
@@ -171,8 +171,16 @@ def _budget(args) -> Budget:
     return Budget(nodes=args.budget, seed=args.seed)
 
 
-def _primes(args) -> tuple[int, ...]:
-    return tuple(int(p) for p in args.primes.split(","))
+def _prime_list(text: str) -> tuple[int, ...]:
+    """The --primes value: a nonempty comma-separated list of primes."""
+    try:
+        primes = tuple(int(p) for p in text.split(","))
+        for p in primes:
+            _check_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of primes") from exc
+    return primes
 
 
 def _input_json(code: Code) -> dict:
@@ -193,7 +201,7 @@ def _timings(args, seconds: float):
 def _cmd_classify(args) -> int:
     code = _read_code(args.path)
     t0 = time.perf_counter()
-    report = classify(code, _budget(args), _primes(args))
+    report = classify(code, _budget(args), args.primes)
     dt = time.perf_counter() - t0
     if args.json:
         _emit_json(
@@ -228,7 +236,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_mandatory(args) -> int:
     code = _read_code(args.path)
-    found, unknown = mandatory_codewords(code, _budget(args), primes=_primes(args))
+    found, unknown = mandatory_codewords(code, _budget(args), primes=args.primes)
     if args.json:
         _emit_json(
             {
@@ -265,7 +273,7 @@ def _cmd_links(args) -> int:
         print(f"{args.face} is not a nonempty face of the code's complex", file=sys.stderr)
         return EXIT_DATA
     lk = link(cx, sigma)
-    st = contractibility_status(lk, _budget(args), primes=_primes(args))
+    st = contractibility_status(lk, _budget(args), primes=args.primes)
     if args.json:
         _emit_json(
             {
@@ -324,7 +332,7 @@ def _cmd_collapse(args) -> int:
 
 def _cmd_homology(args) -> int:
     cx = _read_complex(args.path)
-    vectors = {p: reduced_betti(cx, p) for p in _primes(args)}
+    vectors = {p: reduced_betti(cx, p) for p in args.primes}
     if args.json:
         _emit_json(
             {
@@ -367,7 +375,7 @@ def _cmd_realize_verify(args) -> int:
 
 def _cmd_goodcover(args) -> int:
     code = _read_code(args.path)
-    st = good_cover_check(code, _budget(args), primes=_primes(args))
+    st = good_cover_check(code, _budget(args), primes=args.primes)
     if args.json:
         _emit_json(
             {
@@ -418,7 +426,7 @@ def _cmd_generate(args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                      help="collapse search node limit")
-    sub.add_argument("--primes", default=",".join(str(p) for p in DEFAULT_PRIMES),
+    sub.add_argument("--primes", type=_prime_list, default=DEFAULT_PRIMES,
                      help="comma-separated homology field characteristics")
     sub.add_argument("--seed", type=int, default=0, help="seed for greedy restarts")
     sub.add_argument("--deterministic", action="store_true",

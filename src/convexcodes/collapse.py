@@ -1,22 +1,38 @@
 """Elementary collapses and the exact collapsibility decision.
 
 A step (sigma, tau) is legal when tau is the only facet containing sigma;
-applying it deletes every face containing sigma.  Three step vocabularies
-are supported: ``generalized`` also allows sigma = tau (plain facet
-deletion), ``collapse`` requires sigma strictly below tau, and ``strict``
-additionally pins sigma one vertex short of tau.  The ``collapse`` and
-``strict`` vocabularies decide the same collapsibility question, which the
-test suite checks by running both engines side by side.
+applying it deletes every face containing sigma.  Three step vocabularies,
+named by mode, are supported: ``generalized`` also allows sigma = tau
+(plain facet deletion), ``collapse`` requires sigma strictly below tau, and
+``strict`` additionally pins sigma one vertex short of tau.  The
+``collapse`` and ``strict`` vocabularies decide the same collapsibility
+question, which the test suite checks by running both engines side by side.
 
-``is_collapsible`` is an exhaustive backtracking search over step choices,
-so a No is a theorem (every branch explored), a Yes carries a replayable
-step sequence ending at a single point, and Unknown happens only when the
-node budget runs out.  The search itself runs in one pure-Python kernel,
-``_collapse_py``.
+``is_collapsible`` first runs ``Budget.greedy_restarts`` seeded random
+walks, then an exhaustive backtracking search over step choices, so a No is
+a theorem (every branch explored), a Yes carries a replayable step sequence
+ending at a single point, and Unknown happens only when the node budget
+runs out.  This module is the package's only search kernel, in pure Python.
+
+States are tuples of facet masks sorted ascending, and candidate steps are
+tried in (|sigma|, sigma) order.  The memo table maps ``(mode, state)`` to
+``(decision, sigma, tau)``: decision 1 entries carry a winning first step,
+so a certificate is rebuilt by replaying through the table; decision 0
+entries record a fully explored dead end.  A caller may share one table
+across calls.  The backtracking keeps its own stack, so its depth is not
+bounded by Python's recursion limit; inside it, a branch reports 1
+(collapsible), 0 (proved not collapsible) or -1 (cut off by the budget).
+
+A node is counted every time a state has its free pairs enumerated, by a
+greedy walk or by the backtracking alike; a repeat visit without a memo
+hit counts again.  Each walk draws from a fixed 64-bit LCG seeded by the
+budget's seed and the restart index, so decisions, certificates and node
+counts depend only on the input, the seed, the budget and the memo table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,21 +40,20 @@ from .complexes import SimplicialComplex, face_label
 from .errors import IllegalStep, VoidComplex
 from .verdicts import Verdict
 
-from . import _collapse_py
-
-MODES = {
-    "generalized": _collapse_py.MODE_GENERALIZED,
-    "collapse": _collapse_py.MODE_COLLAPSE,
-    "strict": _collapse_py.MODE_STRICT,
-}
+MODES = ("collapse", "generalized", "strict")
 ENGINES = ("collapse", "strict")
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
+_M64 = (1 << 64) - 1
+_MUL = 6364136223846793005
+_INC = 1442695040888963407
+_MIX = 0x9E3779B97F4A7C15
+
 
 def kernel_name() -> str:
     """Which search kernel this process is using."""
-    return _collapse_py.KERNEL_NAME
+    return "pure-python"
 
 
 @dataclass(frozen=True)
@@ -79,11 +94,170 @@ class CollapseOutcome:
     budget_exhausted: bool
 
 
-def _mode_id(name: str) -> int:
-    try:
-        return MODES[name]
-    except KeyError:
-        raise ValueError(f"unknown step mode {name!r}; pick from {sorted(MODES)}") from None
+def _check_mode(name: str) -> None:
+    if name not in MODES:
+        raise ValueError(f"unknown step mode {name!r}; pick from {list(MODES)}")
+
+
+def _is_point(state) -> bool:
+    return len(state) == 1 and state[0].bit_count() == 1
+
+
+def _unique(state, sigma, ti) -> bool:
+    # sigma is contained in state[ti]; check no other facet contains it
+    for i, f in enumerate(state):
+        if i != ti and sigma & ~f == 0:
+            return False
+    return True
+
+
+def _free_pairs(state, mode):
+    """All legal (sigma, tau) steps of a state, sorted by (|sigma|, sigma)."""
+    strict = mode == "strict"
+    proper = mode != "generalized"
+    pairs = []
+    for ti, t in enumerate(state):
+        if strict:
+            rem = t
+            while rem:
+                bit = rem & -rem
+                rem ^= bit
+                s = t ^ bit
+                if s and _unique(state, s, ti):
+                    pairs.append((s, t))
+        else:
+            sub = (t - 1) & t if proper else t
+            while sub:
+                if _unique(state, sub, ti):
+                    pairs.append((sub, t))
+                sub = (sub - 1) & t
+    pairs.sort(key=lambda st: (st[0].bit_count(), st[0]))
+    return pairs
+
+
+def _apply_step(state, sigma, tau):
+    """Remove every face containing sigma; returns the new facet tuple.
+
+    Only tau is affected, so the new facets are the remaining old ones
+    plus those subsets of tau one vertex of sigma short of tau that no
+    surviving facet already covers.
+    """
+    rest = [f for f in state if f != tau]
+    new = list(rest)
+    rem = sigma
+    while rem:
+        bit = rem & -rem
+        rem ^= bit
+        cand = tau ^ bit
+        for f in rest:
+            if cand & ~f == 0:
+                break
+        else:
+            new.append(cand)
+    new.sort()
+    return tuple(new)
+
+
+def _greedy_walk(start, mode, seed, restart, budget, table, counters) -> bool:
+    """One seeded random walk; True when it (or the memo) reaches a point.
+
+    ``counters`` is [expanded nodes, budget-denial flag], shared with the
+    backtracking that may follow.
+    """
+    rng = ((seed ^ (restart * _MIX)) * _MUL + _INC) & _M64
+    state = start
+    path = []
+    while True:
+        if _is_point(state):
+            break
+        key = (mode, state)
+        hit = table.get(key)
+        if hit is not None:
+            if hit[0] == 1:
+                break
+            return False
+        if counters[0] >= budget:
+            counters[1] = 1
+            return False
+        counters[0] += 1
+        pairs = _free_pairs(state, mode)
+        if not pairs:
+            table[key] = (0, 0, 0)
+            return False
+        rng = (rng * _MUL + _INC) & _M64
+        s, t = pairs[(rng >> 33) % len(pairs)]
+        path.append((state, s, t))
+        state = _apply_step(state, s, t)
+    for st, s, t in path:
+        table[(mode, st)] = (1, s, t)
+    return True
+
+
+def _dfs(state, mode, budget, table, counters):
+    """Exhaustive backtracking below ``state``: 1, 0 or -1.
+
+    Depth-first over free pairs in order, with an explicit stack of frames
+    [key, pairs, index of the branch being explored, saw_unknown].  Node
+    counts and memo writes follow the order of the plain recursion.
+    """
+    stack = []
+    while True:
+        # enter state: settle it at once, or open a frame for its branches
+        r = None
+        if _is_point(state):
+            r = 1
+        else:
+            key = (mode, state)
+            hit = table.get(key)
+            if hit is not None:
+                r = hit[0]
+            elif counters[0] >= budget:
+                counters[1] = 1
+                r = -1
+            else:
+                counters[0] += 1
+                pairs = _free_pairs(state, mode)
+                if pairs:
+                    stack.append([key, pairs, 0, False])
+                else:
+                    table[key] = (0, 0, 0)
+                    r = 0
+        # hand r up the stack until a frame has a branch left to enter
+        while stack:
+            frame = stack[-1]
+            key, pairs, i, _ = frame
+            if r is not None:
+                if r == 1:
+                    s, t = pairs[i]
+                    table[key] = (1, s, t)
+                    stack.pop()
+                    continue
+                if r == -1:
+                    frame[3] = True
+                i = frame[2] = i + 1
+            if i < len(pairs):
+                s, t = pairs[i]
+                state = _apply_step(key[1], s, t)
+                break
+            stack.pop()
+            if frame[3]:
+                # cannot conclude No: some branch was cut off by the budget
+                r = -1
+            else:
+                table[key] = (0, 0, 0)
+                r = 0
+        else:
+            return r
+
+
+def _certificate(state, mode, table) -> tuple[CollapseStep, ...]:
+    """Replay the winning steps the table records from ``state`` to a point."""
+    steps = []
+    while not _is_point(state):
+        _, s, t = table[(mode, state)]
+        steps.append(CollapseStep(s, t))
+        state = _apply_step(state, s, t)
+    return tuple(steps)
 
 
 def free_pairs(cx: SimplicialComplex, mode: str = "collapse") -> list[CollapseStep]:
@@ -93,8 +267,8 @@ def free_pairs(cx: SimplicialComplex, mode: str = "collapse") -> list[CollapseSt
     returned tau.  The single point has no collapse-mode steps but one
     generalized step (the point paired with itself).
     """
-    pairs = _collapse_py.free_pairs(tuple(cx.facets), _mode_id(mode))
-    return [CollapseStep(s, t) for s, t in pairs]
+    _check_mode(mode)
+    return [CollapseStep(s, t) for s, t in _free_pairs(tuple(cx.facets), mode)]
 
 
 def elementary_collapse(cx: SimplicialComplex, step: CollapseStep) -> SimplicialComplex:
@@ -118,8 +292,7 @@ def elementary_collapse(cx: SimplicialComplex, step: CollapseStep) -> Simplicial
         raise IllegalStep(
             f"sigma {face_label(sigma)} lies in {len(holders)} facets, not uniquely in tau"
         )
-    new_facets = _collapse_py.apply_step(tuple(cx.facets), sigma, tau)
-    return SimplicialComplex(cx.ambient_n, new_facets)
+    return SimplicialComplex(cx.ambient_n, _apply_step(tuple(cx.facets), sigma, tau))
 
 
 def is_collapsible(
@@ -127,25 +300,38 @@ def is_collapsible(
     engine: str = "strict",
     budget: Budget = Budget(),
     memo: Optional[dict] = None,
-    memoize: bool = True,
 ) -> CollapseOutcome:
     """Decide whether the complex collapses to a single point.
 
     ``engine`` picks the step vocabulary ("strict" by default; "collapse"
     explores arbitrary-codimension steps).  ``memo`` may be shared across
-    calls to reuse decided subcomplexes; pass ``memoize=False`` to force a
-    full re-exploration (decisions must not change, which is under test).
+    calls to reuse decided subcomplexes; decisions do not depend on it.
     """
     if cx.is_void:
         raise VoidComplex("collapsibility of the void complex is undefined")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; pick from {ENGINES}")
-    mode = _mode_id(engine)
+    state = tuple(sorted(cx.facets))
+    if _is_point(state):
+        return CollapseOutcome(Verdict.YES, (), 0, False)
     table = memo if memo is not None else {}
-    status, steps, nodes = _collapse_py.search(
-        tuple(cx.facets), mode, budget.nodes, budget.seed,
-        budget.greedy_restarts, table, memoize)
-    return _outcome(status, steps, nodes)
+    seed = budget.seed & _M64
+    counters = [0, 0]  # expanded nodes, budget-denial flag
+    status = None
+    for r in range(budget.greedy_restarts):
+        if _greedy_walk(state, engine, seed, r, budget.nodes, table, counters):
+            status = 1
+            break
+        if counters[1]:
+            break
+    if status is None:
+        status = _dfs(state, engine, budget.nodes, table, counters)
+    if status == 1:
+        return CollapseOutcome(Verdict.YES, _certificate(state, engine, table),
+                               counters[0], False)
+    if status == 0:
+        return CollapseOutcome(Verdict.NO, None, counters[0], False)
+    return CollapseOutcome(Verdict.UNKNOWN, None, counters[0], True)
 
 
 def greedy_collapse(
@@ -158,21 +344,22 @@ def greedy_collapse(
 
     Yes with a certificate when some walk reaches a point; otherwise
     Unknown, never No (a stuck walk proves nothing about other orders).
+    Each walk is the one ``is_collapsible`` runs for the same seed and
+    restart index, on a fresh memo table and with no node limit.
     """
     if cx.is_void:
         raise VoidComplex("collapsibility of the void complex is undefined")
-    mode = _mode_id(engine)
-    status, steps, nodes = _collapse_py.greedy(tuple(cx.facets), mode, seed, restarts)
-    return _outcome(status, steps, nodes)
-
-
-def _outcome(status: int, steps, nodes: int) -> CollapseOutcome:
-    if status == 1:
-        cert = tuple(CollapseStep(s, t) for s, t in steps)
-        return CollapseOutcome(Verdict.YES, cert, nodes, False)
-    if status == 0:
-        return CollapseOutcome(Verdict.NO, None, nodes, False)
-    return CollapseOutcome(Verdict.UNKNOWN, None, nodes, True)
+    _check_mode(engine)
+    state = tuple(sorted(cx.facets))
+    if _is_point(state):
+        return CollapseOutcome(Verdict.YES, (), 0, False)
+    counters = [0, 0]
+    for r in range(restarts):
+        table = {}
+        if _greedy_walk(state, engine, seed & _M64, r, math.inf, table, counters):
+            return CollapseOutcome(Verdict.YES, _certificate(state, engine, table),
+                                   counters[0], False)
+    return CollapseOutcome(Verdict.UNKNOWN, None, counters[0], True)
 
 
 def replay_certificate(

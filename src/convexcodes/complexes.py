@@ -95,14 +95,6 @@ class Code:
         for w in self.words:
             _check_face(w, self.ambient_n)
 
-    @classmethod
-    def from_words(cls, n: int, words: Iterable[Iterable[int]]) -> "Code":
-        return cls(n, frozenset(face_of(w) for w in words))
-
-    @classmethod
-    def from_masks(cls, n: int, masks: Iterable[Face]) -> "Code":
-        return cls(n, frozenset(masks))
-
     @property
     def has_empty_word(self) -> bool:
         return 0 in self.words
@@ -154,10 +146,6 @@ class SimplicialComplex:
             else:
                 kept.append(f)
         return cls(n, tuple(sorted(kept)))
-
-    @classmethod
-    def from_vertex_lists(cls, n: int, lists: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        return cls.from_facets(n, (face_of(l) for l in lists))
 
     @classmethod
     def void(cls, n: int) -> "SimplicialComplex":

@@ -8,6 +8,9 @@ count.  Three token forms exist:
 * compact digit strings for labels up to 9: ``2345``;
 * fixed-width binary strings, one character per label: ``0111``.
 
+Every field is a run of ASCII decimal digits; anything else is a
+``ParseError`` naming the line.
+
 The literal ``0`` or ``empty`` denotes the empty word in any file.  Binary
 and integer forms cannot be mixed within one file.  A lone multi-character
 token of 0s and 1s is read as binary; a lone token with a digit above 1 is
@@ -41,11 +44,13 @@ def _classify_token(line: str, lineno: int):
     if line.lower() in ("0", "empty"):
         return "empty", 0
     fields = line.replace(",", " ").split()
+    for tok in fields:
+        # ASCII only: str.isdigit also holds for digits such as "²" that int() rejects
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"unreadable token {tok!r}", lineno)
     if len(fields) > 1:
         return _INTEGER, ("separated", fields)
     tok = fields[0]
-    if not tok.isdigit():
-        raise ParseError(f"unreadable token {tok!r}", lineno)
     if set(tok) <= {"0", "1"} and len(tok) > 1:
         return _BINARY, tok
     return _INTEGER, ("single", tok)
@@ -60,6 +65,30 @@ def _label_mask(labels: list[int], n_cap: int, lineno: int) -> int:
             raise LabelOutOfRange(f"line {lineno}: label {v} above declared n={n_cap}")
         mask |= 1 << (v - 1)
     return mask
+
+
+def _row_mask(kind: str, payload, n: int, lineno: int) -> int:
+    """Decode one row scanned by ``_classify_token`` into a face mask.
+
+    ``n`` is the declared ambient count (0 when none), which decides how a
+    lone multi-digit integer token is read and caps the labels.
+    """
+    if kind == "empty":
+        return 0
+    if kind == _BINARY:
+        return sum(1 << pos for pos, ch in enumerate(payload) if ch == "1")
+    style, data = payload
+    if style == "separated":
+        labels = [int(f) for f in data]
+    elif n >= 10:
+        labels = [int(data)]
+    else:
+        if "0" in data:
+            raise ParseError(
+                "0 is not a label; separate multi-digit labels with spaces", lineno
+            )
+        labels = [int(ch) for ch in data]
+    return _label_mask(labels, n, lineno)
 
 
 def _parse_lines(text: str):
@@ -93,13 +122,10 @@ def _decode(declared: int, rows) -> tuple[int, list[int]]:
         raise MixedNotation(
             "binary and integer word forms mixed in one file", bad
         )
-    masks = []
     width = 0
-    max_label = 0
     if notations == {_BINARY}:
         for lineno, kind, tok in rows:
             if kind == "empty":
-                masks.append(0)
                 continue
             if width == 0:
                 width = len(tok)
@@ -113,32 +139,9 @@ def _decode(declared: int, rows) -> tuple[int, list[int]]:
                     f"binary width {len(tok)} does not match earlier width {width}",
                     lineno,
                 )
-            mask = 0
-            for pos, ch in enumerate(tok):
-                if ch == "1":
-                    mask |= 1 << pos
-            masks.append(mask)
-        n = declared or width
-    else:
-        for lineno, kind, payload in rows:
-            if kind == "empty":
-                masks.append(0)
-                continue
-            style, data = payload
-            if style == "separated":
-                labels = [int(f) for f in data]
-            elif declared >= 10:
-                labels = [int(data)]
-            else:
-                if "0" in data:
-                    raise ParseError(
-                        "0 is not a label; separate multi-digit labels with spaces",
-                        lineno,
-                    )
-                labels = [int(ch) for ch in data]
-            masks.append(_label_mask(labels, declared, lineno))
-            max_label = max(max_label, max(labels))
-        n = declared or max_label
+    masks = [_row_mask(kind, payload, declared, lineno) for lineno, kind, payload in rows]
+    # the highest label of an integer-notation file is its highest set bit
+    n = declared or width or max(m.bit_length() for m in masks)
     if n < 1 or n > MAX_VERTICES:
         raise ParseError(f"ambient label count {n} outside 1..{MAX_VERTICES}")
     return n, masks
@@ -188,21 +191,4 @@ def emit_complex(cx: SimplicialComplex) -> str:
 def parse_face(token: str, n: int = 0) -> int:
     """Read one face given on a command line, compact or separated form."""
     kind, payload = _classify_token(token.strip(), 1)
-    if kind == "empty":
-        return 0
-    if kind == _BINARY:
-        mask = 0
-        for pos, ch in enumerate(payload):
-            if ch == "1":
-                mask |= 1 << pos
-        return mask
-    style, data = payload
-    if style == "separated":
-        labels = [int(f) for f in data]
-    elif n >= 10:
-        labels = [int(data)]
-    else:
-        if "0" in data:
-            raise ParseError("0 is not a label; separate multi-digit labels with spaces")
-        labels = [int(ch) for ch in data]
-    return _label_mask(labels, n, 1)
+    return _row_mask(kind, payload, n, 1)

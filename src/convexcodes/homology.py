@@ -18,6 +18,7 @@ ascend, and dimensions ascend across the complex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
@@ -63,7 +64,7 @@ class BoundaryMatrix:
 
 
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"field characteristic {p} is not prime")
 
 

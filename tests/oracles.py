@@ -231,16 +231,18 @@ def naive_locally_great(code, budget=None):
     return Verdict.YES, None
 
 
-def recursive_dfs(state, mode, budget, table, memoize, counters):
-    """The collapse kernel's exhaustive search written as plain recursion.
+def recursive_dfs(state, mode, budget, table, counters, memoize=True):
+    """The collapse search's backtracking written as plain recursion.
 
-    Same contract as ``convexcodes._collapse_py._dfs``; the kernel keeps an
-    explicit stack instead, and must match this node for node and memo
-    entry for memo entry.  Depth is bounded by Python's recursion limit.
+    Same contract as ``convexcodes.collapse._dfs``, which keeps an explicit
+    stack instead and must match this node for node and memo entry for
+    memo entry.  With ``memoize=False`` no decision is read back from the
+    table, so every state is explored afresh: the reference the memoized
+    search must agree with.  Depth is bounded by Python's recursion limit.
     """
-    from convexcodes._collapse_py import apply_step, free_pairs, is_point
+    from convexcodes.collapse import _apply_step, _free_pairs, _is_point
 
-    if is_point(state):
+    if _is_point(state):
         return 1
     key = (mode, state)
     if memoize:
@@ -251,13 +253,13 @@ def recursive_dfs(state, mode, budget, table, memoize, counters):
         counters[1] = 1
         return -1
     counters[0] += 1
-    pairs = free_pairs(state, mode)
+    pairs = _free_pairs(state, mode)
     if not pairs:
         table[key] = (0, 0, 0)
         return 0
     saw_unknown = False
     for s, t in pairs:
-        r = recursive_dfs(apply_step(state, s, t), mode, budget, table, memoize, counters)
+        r = recursive_dfs(_apply_step(state, s, t), mode, budget, table, counters, memoize)
         if r == 1:
             table[key] = (1, s, t)
             return 1

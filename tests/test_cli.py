@@ -209,6 +209,30 @@ def test_usage_and_parse_errors(files, capsys, tmp_path):
     assert run(["classify", str(tmp_path / "missing.code")]) == 65
 
 
+@pytest.mark.parametrize("primes", ["a", "4", ""])
+def test_bad_primes_are_usage_errors(files, capsys, primes):
+    for argv in (["classify", files["intro-code"]], ["homology", files["rp2"]]):
+        with pytest.raises(SystemExit) as e:
+            run(argv + ["--primes", primes])
+        assert e.value.code == 64
+        assert "--primes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1 x\n", "1 2.5\n", "1\u00b2\n"])
+def test_malformed_tokens_exit_65(capsys, tmp_path, text):
+    bad = tmp_path / "bad.code"
+    bad.write_text(text, encoding="utf-8")
+    assert run(["classify", str(bad)]) == 65
+    assert capsys.readouterr().err.startswith("parse error: line 1: unreadable token")
+
+
+def test_undecodable_bytes_exit_65(capsys, tmp_path):
+    bad = tmp_path / "bad.code"
+    bad.write_bytes(b"12\n\xff\n")
+    assert run(["classify", str(bad)]) == 65
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
 def test_entry_point_subprocess(files):
     out = subprocess.run(
         [sys.executable, "-m", "convexcodes.cli", "classify", files["intro-code"]],

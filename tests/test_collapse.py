@@ -2,7 +2,7 @@
 
 import pytest
 
-from convexcodes import _collapse_py
+from convexcodes import collapse
 from convexcodes.collapse import (
     Budget,
     CollapseStep,
@@ -190,16 +190,19 @@ def test_engine_equivalence_random():
 
 
 def test_memo_does_not_change_decisions():
+    # the reference explores every state afresh, reading no memo entry back
+    decision = {1: Verdict.YES, 0: Verdict.NO}
     shared = {}
     for seed in range(30):
         cx = random_complex(5, seed)
         if cx.is_void:
             continue
-        plain = is_collapsible(cx, memoize=False)
+        plain = oracles.recursive_dfs(tuple(cx.facets), "strict", Budget().nodes, {},
+                                      [0, 0], memoize=False)
         fresh = is_collapsible(cx, memo={})
         reused = is_collapsible(cx, memo=shared)
-        assert plain.status is fresh.status is reused.status
-        if plain.status is Verdict.YES:
+        assert decision[plain] is fresh.status is reused.status
+        if fresh.status is Verdict.YES:
             assert certifies_collapse(cx, fresh.certificate)
             assert certifies_collapse(cx, reused.certificate)
 
@@ -233,6 +236,23 @@ def test_greedy_examples():
     out = greedy_collapse(bary, seed=1, restarts=4)
     assert out.status is Verdict.YES
     assert certifies_collapse(bary, out.certificate)
+
+
+def test_greedy_pinned_outcomes():
+    # pinned node counts and certificate: each restart walks on a fresh memo
+    # table, so a later walk re-expands the states an earlier one got stuck
+    # in instead of stopping at the dead end the earlier walk recorded
+    bary = subdivided_triangle()
+    out = greedy_collapse(bary, seed=1, restarts=4)
+    assert out.status is Verdict.YES and out.nodes_explored == 12
+    assert [(s.sigma, s.tau) for s in out.certificate] == [
+        (20, 84), (10, 74), (72, 73), (34, 98), (36, 100), (32, 96),
+        (65, 81), (2, 66), (4, 68), (64, 80), (8, 9), (1, 17)]
+    dh = dunce_hat()
+    trap = SimplicialComplex.from_facets(9, list(dh.facets) + [dh.facets[0] | 1 << 8])
+    out = greedy_collapse(trap, seed=1, restarts=3)
+    assert out.status is Verdict.UNKNOWN and out.budget_exhausted
+    assert out.certificate is None and out.nodes_explored == 15
 
 
 def test_greedy_is_deterministic():
@@ -271,32 +291,32 @@ def test_step_rendering():
     assert str(CollapseStep(F("1"), F("123"))) == "(1,123)"
 
 
-def _search_both_ways(monkeypatch, facets, mode, budget, restarts, memoize, memos):
-    """Run the kernel's search with its own DFS, then with the recursive oracle."""
+def _search_both_ways(monkeypatch, cx, mode, budget, memos):
+    """Run the search with its own DFS, then with the recursive oracle."""
     results = []
-    for dfs, memo in zip((_collapse_py._dfs, oracles.recursive_dfs), memos):
+    for dfs, memo in zip((collapse._dfs, oracles.recursive_dfs), memos):
         with monkeypatch.context() as m:
-            m.setattr(_collapse_py, "_dfs", dfs)
-            results.append(_collapse_py.search(facets, mode, budget, 0, restarts, memo, memoize))
+            m.setattr(collapse, "_dfs", dfs)
+            results.append(is_collapsible(cx, mode, budget, memo))
     return results
 
 
 def test_iterative_dfs_matches_recursion(monkeypatch):
-    inputs = [tuple(random_complex(6, seed).facets) for seed in range(40)]
-    settings = [(200_000, 2, True), (200_000, 0, True), (7, 0, True), (2_000, 0, False)]
-    for facets in inputs:
-        for mode in (1, 2):
-            for budget, restarts, memoize in settings:
+    inputs = [cx for cx in (random_complex(6, seed) for seed in range(40)) if not cx.is_void]
+    settings = [(200_000, 2), (200_000, 0), (7, 0)]
+    for cx in inputs:
+        for mode in ("collapse", "strict"):
+            for nodes, restarts in settings:
+                budget = Budget(nodes=nodes, greedy_restarts=restarts)
                 memos = ({}, {})
-                a, b = _search_both_ways(monkeypatch, facets, mode, budget, restarts,
-                                         memoize, memos)
-                assert a == b and memos[0] == memos[1], (facets, mode, budget)
+                a, b = _search_both_ways(monkeypatch, cx, mode, budget, memos)
+                assert a == b and memos[0] == memos[1], (cx.facets, mode, nodes)
     # one memo shared across every small complex, as classify shares it
     shared = ({}, {})
     for cx in all_facet_antichains(4):
-        for mode in (1, 2):
-            a, b = _search_both_ways(monkeypatch, tuple(cx.facets), mode, 200_000, 0,
-                                     True, shared)
+        for mode in ("collapse", "strict"):
+            a, b = _search_both_ways(monkeypatch, cx, mode,
+                                     Budget(nodes=200_000, greedy_restarts=0), shared)
             assert a == b and shared[0] == shared[1], (cx.facets, mode)
 
 

@@ -79,6 +79,17 @@ def test_parse_errors():
         parse_code("n=4\n5\n")
 
 
+@pytest.mark.parametrize("text", ["1 x\n", "1 2.5\n", "1\u00b2\n", "12\n3 \u0663\n"])
+def test_malformed_tokens_are_parse_errors(text):
+    # "\u00b2" (superscript two) and "\u0663" (Arabic-Indic three) pass
+    # str.isdigit but are not ASCII decimal fields
+    lineno = text.count("\n")
+    with pytest.raises(ParseError, match=f"line {lineno}: unreadable token"):
+        parse_code(text)
+    with pytest.raises(ParseError, match="unreadable token"):
+        parse_face(text.splitlines()[-1], 4)
+
+
 def test_error_line_numbers_account_for_comments():
     with pytest.raises(ParseError, match="line 4"):
         parse_code("# header\nn=2\n\nbadtoken99\n")
@@ -121,6 +132,11 @@ def test_parse_face_tokens():
     assert parse_face("13", 4) == F("13")
     assert parse_face("1,3", 4) == F("13")
     assert parse_face("0", 4) == 0
+    assert parse_face("empty", 4) == 0
+    assert parse_face(" 1 3 ", 4) == F("13")
+    assert parse_face("0101", 4) == F("24")
+    assert parse_face("12", 12) == face_of([12])
+    assert parse_face("10 12", 12) == face_of([10, 12])
     with pytest.raises(LabelOutOfRange):
         parse_face("5", 4)
     with pytest.raises(ParseError):

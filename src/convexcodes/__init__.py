@@ -47,8 +47,6 @@ from .errors import ConvexCodesError
 from .homology import BettiVector, boundary_matrix, is_acyclic, reduced_betti
 from .realization import (
     ArrangementCell,
-    cell_region,
-    code_link,
     enumerate_cells,
     good_cover_check,
     realized_code_from_U,
@@ -72,11 +70,9 @@ __all__ = [
     "TriStatus",
     "Verdict",
     "boundary_matrix",
-    "cell_region",
     "certifies_collapse",
     "classify",
     "closure",
-    "code_link",
     "cone",
     "cone_minus_apex",
     "contractibility_status",

@@ -18,7 +18,10 @@ here is decided at the level of links inside the code's complex:
 
 Both verdicts and the mandatory codewords are read off one link table per
 code: each facet intersection with its link and the link's
-contractibility verdict, each built once and sharing one search memo.
+contractibility verdict, each built once, on first read, and sharing one
+memo.  That memo holds the search's states and the Betti numbers of each
+link shape, so links that differ only by an order-preserving relabel of
+their vertices share one homology computation.
 
 Contractibility itself is semidecidable, so the checker climbs a ladder of
 exact special cases (graphs, cones), then homology, then collapsibility,
@@ -90,6 +93,37 @@ def _graph_summary(cx: SimplicialComplex) -> dict:
     return {"vertices": len(verts), "edges": len(edges), "components": components}
 
 
+# Tag of the Betti entries in a shared memo; the search's keys are
+# (mode, state) pairs, never 3-tuples, so the two kinds cannot collide.
+_BETTI = "betti"
+
+
+def _shape(cx: SimplicialComplex) -> tuple[int, ...]:
+    """The facets after an order-preserving relabel of the support to bits 0..k-1.
+
+    A relabel that keeps the vertex order keeps the facets sorted, so two
+    complexes have the same shape exactly when one is such a relabel of
+    the other.
+    """
+    support = 0
+    for f in cx.facets:
+        support |= f
+    bit = {}
+    while support:
+        low = support & -support
+        bit[low] = 1 << len(bit)
+        support ^= low
+    shape = []
+    for f in cx.facets:
+        g = 0
+        while f:
+            low = f & -f
+            g |= bit[low]
+            f ^= low
+        shape.append(g)
+    return tuple(shape)
+
+
 def contractibility_status(
     cx: SimplicialComplex,
     budget: Budget = Budget(),
@@ -105,6 +139,15 @@ def contractibility_status(
     a collapsibility certificate from the greedy walks and the exhaustive
     search.  A complex that is acyclic yet admits no collapse within budget
     stays Unknown.
+
+    ``memo`` is shared with the search, whose entries are keyed
+    ``(mode, state)``.  The Betti rung adds entries keyed
+    ``("betti", p, shape)`` that hold the complex's :class:`BettiVector`
+    over F_p, where ``shape`` is the tuple of facets after relabelling the
+    vertices in the support to bits 0..k-1, keeping their order.  Reduced
+    Betti numbers do not see labels, so every complex of one shape reuses
+    one computation per prime, with the same certificate.  ``memo=None``
+    uses a fresh dict for this call.
     """
     if cx.is_void:
         raise VoidComplex("contractibility of the void complex is undefined")
@@ -123,8 +166,13 @@ def contractibility_status(
     if common:
         apex = common & -common
         return TriStatus(Verdict.YES, R_CONE_APEX, certificate=apex)
+    memo = {} if memo is None else memo
+    shape = _shape(cx)
     for p in primes:
-        bv = reduced_betti(cx, p)
+        key = (_BETTI, p, shape)
+        bv = memo.get(key)
+        if bv is None:
+            bv = memo[key] = reduced_betti(cx, p)
         if not bv.is_zero():
             return TriStatus(Verdict.NO, R_NONZERO_BETTI, certificate=bv)
     outcome = is_collapsible(cx, "strict", budget, memo)
@@ -170,10 +218,12 @@ _COLLAPSE_EXACT_RUNGS = (R_TREE_TEST, R_CONE_APEX, R_COLLAPSE_CERT, R_NONZERO_BE
 class _LinkTable:
     """Each facet intersection of a code's complex with its link and verdict.
 
-    ``links`` maps every facet intersection, in (size, mask) order, to its
-    link and the link's contractibility status.  Each link is built and
-    decided once, so one table serves the mandatory words, local goodness,
-    local greatness and max-intersection completeness of one code.
+    ``links`` has every facet intersection as a key, in (size, mask) order.
+    A link is built and decided on its first read, through :meth:`entry`,
+    and kept as the key's ``(link, status)`` value, so one table serves the
+    mandatory words, local goodness, local greatness and max-intersection
+    completeness of one code.  A quantifier that stops at its first No
+    leaves the links after it undecided.
     """
 
     def __init__(self, code: Code, budget: Budget, memo: dict | None, primes):
@@ -181,20 +231,27 @@ class _LinkTable:
         self.cx = _check_code(code)
         self.budget = budget
         self.memo = {} if memo is None else memo
-        self.links = {}
-        for sigma in sorted(facet_intersections(self.cx), key=_face_sort_key):
+        self.primes = primes
+        self.links = dict.fromkeys(sorted(facet_intersections(self.cx), key=_face_sort_key))
+
+    def entry(self, sigma: int) -> tuple[SimplicialComplex, TriStatus]:
+        entry = self.links[sigma]
+        if entry is None:
             lk = link(self.cx, sigma)
-            self.links[sigma] = (lk, contractibility_status(lk, budget, self.memo, primes))
+            entry = (lk, contractibility_status(lk, self.budget, self.memo, self.primes))
+            self.links[sigma] = entry
+        return entry
 
     def mandatory(self) -> tuple[frozenset[int], frozenset[int]]:
-        found = frozenset(sigma for sigma, (_, st) in self.links.items() if st.is_no)
-        unknown = frozenset(sigma for sigma, (_, st) in self.links.items() if st.is_unknown)
+        statuses = [(sigma, self.entry(sigma)[1]) for sigma in self.links]
+        found = frozenset(sigma for sigma, st in statuses if st.is_no)
+        unknown = frozenset(sigma for sigma, st in statuses if st.is_unknown)
         return found, unknown
 
     def locally_good(self) -> TriStatus:
         words = self.code.words
         return for_all(
-            ((sigma, st) for sigma, (_, st) in self.links.items() if sigma not in words),
+            ((sigma, self.entry(sigma)[1]) for sigma in self.links if sigma not in words),
             R_ALL_LINKS,
         )
 
@@ -209,7 +266,7 @@ class _LinkTable:
             # sigma is strictly inside the intersection of the facets
             # containing it, so its link is a cone over any vertex of the gap
             return TriStatus(Verdict.YES, R_CONE_APEX)
-        lk, st = self.links[sigma]
+        lk, st = self.entry(sigma)
         if st.reason in _COLLAPSE_EXACT_RUNGS:
             value, nodes = st.value, 0
         else:
@@ -249,7 +306,7 @@ def is_locally_good(
     Quantifies over facet intersections missing from the code; the empty
     word never matters.  No carries the first obstructing face in
     (size, mask) order as witness, with the link's own negative
-    certificate attached.
+    certificate attached; no link after it is built or decided.
     """
     return _LinkTable(code, budget, memo, primes).locally_good()
 
@@ -269,7 +326,9 @@ def is_locally_great(
     every answer is Yes or No; No carries the witness face and, as
     ``nodes_explored``, the node count of the search that decided its link
     in this run (0 when a tree test or nonzero Betti numbers decided it, or
-    after a memo hit).
+    after a memo hit).  Faces are walked in (size, mask) order, each link
+    decided and, if need be, searched as it is reached, and the walk stops
+    at the first No.
     """
     return _LinkTable(code, budget, memo, DEFAULT_PRIMES).locally_great()
 
@@ -321,6 +380,9 @@ def classify(
 ) -> AnalysisReport:
     """Run the full battery on one code from one link table and one memo."""
     table = _LinkTable(code, budget, None, primes)
+    # Deciding every link first, in (size, mask) order, fixes the order in
+    # which the searches fill the shared memo, whatever the quantifiers read.
+    found, unknown = table.mandatory()
     good = table.locally_good()
     great = table.locally_great()
     if great.is_yes and good.is_unknown:
@@ -332,7 +394,6 @@ def classify(
             f"locally good failed at witness {face_label(good.witness)} "
             "yet locally great was proved"
         )
-    found, unknown = table.mandatory()
     sparsity = max((w.bit_count() for w in code.words), default=0)
     return AnalysisReport(
         code=code,

@@ -211,17 +211,6 @@ class SimplicialComplex:
             mask |= f
         return face_members(mask)
 
-    def canonical_key(self) -> bytes:
-        """Deterministic byte key identifying this complex exactly.
-
-        Ambient size plus the sorted facet masks; two complexes collide only
-        if they are equal, which makes the key safe for memo tables.
-        """
-        out = bytearray([self.ambient_n])
-        for f in self.facets:
-            out += f.to_bytes(8, "little")
-        return bytes(out)
-
 
 def closure(code: Code) -> SimplicialComplex:
     """Smallest simplicial complex containing every word of the code.

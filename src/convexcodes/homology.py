@@ -18,7 +18,6 @@ ascend, and dimensions ascend across the complex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex
@@ -63,9 +62,45 @@ class BoundaryMatrix:
         return dense
 
 
+# Miller-Rabin with the first 13 primes as bases has no false positive
+# below _MAX_PRIME (psi_13, Sorenson and Webster, Math. Comp. 2017).  Trial
+# division by the same primes settles every p below 43 * 43 on its own.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MAX_PRIME = 3_317_044_064_679_887_385_961_981
+
+
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    """Raise ValueError unless p is a prime below ``_MAX_PRIME``."""
+    if p >= _MAX_PRIME:
+        raise ValueError(f"field characteristic {p} exceeds the supported bound {_MAX_PRIME}")
+    if not _is_prime(p):
         raise ValueError(f"field characteristic {p} is not prime")
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic primality for p below ``_MAX_PRIME``."""
+    if p < 2:
+        return False
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    if p < 43 * 43:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> BoundaryMatrix:

@@ -59,18 +59,6 @@ class ArrangementCell:
         return f"({face_label(self.positive)}|{z})"
 
 
-def code_link(code: Code, tau: int) -> Code:
-    """Words disjoint from tau whose union with tau is a codeword.
-
-    The result lives on the labels outside tau (original labels kept).
-    It contains the empty word exactly when tau itself is a codeword.
-    """
-    if tau == 0:
-        raise EmptyInput("tau must be a nonempty face")
-    words = frozenset(w ^ tau for w in code.words if tau & ~w == 0)
-    return Code(code.ambient_n, words)
-
-
 def v_region_contractibility(
     code: Code,
     tau: int,
@@ -114,16 +102,6 @@ def enumerate_cells(n: int) -> Iterator[ArrangementCell]:
     triples.sort()
     for _, pos, z in triples:
         yield ArrangementCell(pos, z)
-
-
-def cell_region(cell: ArrangementCell) -> int:
-    """The region owning this cell.
-
-    Regions claim chambers in order of nondecreasing dimension, and the
-    closed chambers containing cell (P, Z) are those of sigma with
-    P <= sigma <= P | Z, the smallest of which is sigma = P.
-    """
-    return cell.positive
 
 
 def _interval_in_code(code: Code, cell: ArrangementCell) -> bool:

@@ -165,16 +165,6 @@ def free_pairs_by_definition(cx, mode):
     return sorted(out, key=lambda st: (bin(st[0]).count("1"), st[0]))
 
 
-def cell_in_closed_chamber(cell, sigma_mask):
-    """Sign re-derivation: the closure of chamber sigma contains cell (P, Z)
-    exactly when every P-coordinate stays positive inside sigma and every
-    coordinate outside sigma is negative or pinned to zero there."""
-    return (
-        cell.positive & ~sigma_mask == 0
-        and sigma_mask & ~(cell.positive | cell.zero) == 0
-    )
-
-
 def naive_locally_good(code, budget=None, primes=(2, 3, 5)):
     """Local goodness with no reduction of the quantifier.
 

@@ -1,5 +1,6 @@
 """The classification pipeline: mandatory words, locally good, locally great."""
 
+import random
 import time
 
 import pytest
@@ -15,11 +16,12 @@ from convexcodes.analysis import (
     is_max_intersection_complete,
     mandatory_codewords,
 )
-from convexcodes.collapse import Budget
+from convexcodes.collapse import MODES, Budget, CollapseOutcome
 from convexcodes.complexes import (
     Code,
     SimplicialComplex,
     closure,
+    face_members,
     face_of,
     link,
 )
@@ -32,6 +34,7 @@ from convexcodes.instances import (
     dunce_hat,
     intro_code,
     random_code,
+    random_complex,
     two_edge_overlap_code,
 )
 from convexcodes.verdicts import (
@@ -370,3 +373,94 @@ def test_empty_word_never_matters():
         padded = Code(code.ambient_n, code.words | {0})
         assert is_locally_good(plain).value is is_locally_good(padded).value
         assert is_locally_great(plain).value is is_locally_great(padded).value
+
+
+def relabel(cx, labels):
+    """cx with its i-th smallest vertex renamed labels[i]; labels ascend."""
+    rename = dict(zip(cx.vertices(), labels))
+    facets = [face_of(rename[v] for v in face_members(f)) for f in cx.facets]
+    return SimplicialComplex.from_facets(max(labels, default=1), facets)
+
+
+def test_classify_computes_betti_once_per_link_shape(monkeypatch):
+    from convexcodes import analysis
+
+    calls = []
+
+    def counting(cx, p, _fn=analysis.reduced_betti):
+        calls.append((relabel(cx, range(1, len(cx.vertices()) + 1)).facets, p))
+        return _fn(cx, p)
+
+    monkeypatch.setattr(analysis, "reduced_betti", counting)
+    # every link of c_n(10) is a sphere, one shape per size of sigma; sizes
+    # 1..6 reach homology, which proves each one at p = 2
+    first = classify(c_n(10))
+    assert len(calls) == len(set(calls)) == 6
+    assert first.mandatory_found == frozenset(range(1, (1 << 10) - 1))
+    # a second classify shares nothing with the first
+    calls.clear()
+    assert classify(c_n(10)) == first
+    assert len(calls) == 6
+
+
+def test_betti_memo_matches_fresh_homology(monkeypatch):
+    from convexcodes import analysis
+
+    # with the search stubbed out, every status comes from the tree, cone
+    # or Betti rung, so each must equal the status computed afresh
+    unknown = CollapseOutcome(Verdict.UNKNOWN, None, 0, True)
+    monkeypatch.setattr(analysis, "is_collapsible", lambda *args, **kw: unknown)
+    rng = random.Random(7)
+    memo = {}  # one memo across every complex, as one classify shares it
+    for seed in range(2000):
+        cx = random_complex(7, seed, max_facets=8)
+        k = len(cx.vertices())
+        shifted = relabel(cx, range(1 + seed % 5, k + 1 + seed % 5))
+        spread = relabel(cx, sorted(rng.sample(range(1, 65), k)))
+        fresh = contractibility_status(cx)
+        for other in (cx, shifted, spread):
+            st = contractibility_status(other, memo=memo)
+            assert st == contractibility_status(other), (seed, other.facets)
+            assert (st.value, st.reason) == (fresh.value, fresh.reason)
+            if st.reason == R_NONZERO_BETTI:
+                assert st.certificate == fresh.certificate
+
+
+def test_betti_and_search_entries_share_one_memo():
+    # acyclic, no cone: all three primes are computed, then the search runs
+    tri_path = SimplicialComplex.from_facets(7, [F("123"), F("345"), F("567")])
+    memo = {}
+    st = contractibility_status(tri_path, memo=memo)
+    assert st.reason == R_COLLAPSE_CERT
+    betti = {key for key in memo if key[0] == "betti"}
+    assert {(len(key), key[1]) for key in betti} == {(3, 2), (3, 3), (3, 5)}
+    assert all(len(key) == 2 and key[0] in MODES for key in memo.keys() - betti)
+    shifted = relabel(tri_path, range(2, 9))
+    assert contractibility_status(shifted, memo=memo).reason == R_COLLAPSE_CERT
+    assert {key for key in memo if key[0] == "betti"} == betti
+
+
+def test_standalone_quantifiers_stop_early(monkeypatch):
+    from convexcodes import analysis
+
+    calls = []
+
+    def counting(*args, _fn=analysis.contractibility_status, **kw):
+        calls.append(args[0])
+        return _fn(*args, **kw)
+
+    monkeypatch.setattr(analysis, "contractibility_status", counting)
+    # c_n(10) holds every facet intersection, so no link needs deciding
+    assert is_locally_good(c_n(10)).value is Verdict.YES
+    assert calls == []
+    # every singleton is missing and obstructs; the first one settles both
+    sphere = c_n(6)
+    code = Code(6, sphere.words - {F(str(v)) for v in range(1, 7)})
+    for check in (is_locally_good, is_locally_great):
+        calls.clear()
+        st = check(code)
+        assert st.value is Verdict.NO and st.witness == F("1")
+        assert len(calls) == 1
+    calls.clear()
+    found, _ = mandatory_codewords(code)
+    assert len(calls) == len(facet_intersections(closure(code))) and F("6") in found

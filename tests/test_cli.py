@@ -156,6 +156,13 @@ def test_homology_command(files, capsys):
     assert data["betti"]["2"] == [0, 1, 1] and data["betti"]["3"] == [0, 0, 0]
 
 
+def test_homology_large_prime_finishes(files, capsys, tmp_path):
+    path = tmp_path / "tri.cx"
+    path.write_text("12\n13\n23\n")
+    assert run(["homology", "--primes", "1000000000000000003", str(path)]) == 0
+    assert "F_1000000000000000003: reduced betti (0, 1)" in capsys.readouterr().out
+
+
 def test_realize_verify(files, capsys):
     assert run(["realize-verify", files["intro-code"]]) == 0
     out = capsys.readouterr().out
@@ -209,7 +216,7 @@ def test_usage_and_parse_errors(files, capsys, tmp_path):
     assert run(["classify", str(tmp_path / "missing.code")]) == 65
 
 
-@pytest.mark.parametrize("primes", ["a", "4", ""])
+@pytest.mark.parametrize("primes", ["a", "4", "", "561", str(2**127 - 1)])
 def test_bad_primes_are_usage_errors(files, capsys, primes):
     for argv in (["classify", files["intro-code"]], ["homology", files["rp2"]]):
         with pytest.raises(SystemExit) as e:

@@ -21,7 +21,6 @@ from convexcodes.complexes import (
 )
 from convexcodes.errors import EmptyInput, LabelOutOfRange, NotAFace, VertexInUse
 from convexcodes.instances import (
-    all_facet_antichains,
     counterexample_code,
     random_complex,
 )
@@ -269,24 +268,6 @@ def test_maximal_codewords():
     assert maximal_codewords(Code(2, frozenset())) == frozenset()
     assert maximal_codewords(Code(2, frozenset({0}))) == frozenset({0})
     assert maximal_codewords(C(3, 0, "1", "12", "3")) == frozenset({F("12"), F("3")})
-
-
-def test_canonical_key_injective():
-    seen = {}
-    for cx in all_facet_antichains(4):
-        key = cx.canonical_key()
-        assert key not in seen
-        seen[key] = cx
-    # ambient width is part of the key
-    a = SimplicialComplex.from_facets(3, [F("12")])
-    b = SimplicialComplex.from_facets(4, [F("12")])
-    assert a.canonical_key() != b.canonical_key()
-    for seed in range(60):
-        cx = random_complex(6, seed)
-        key = cx.canonical_key()
-        if key in seen:
-            assert seen[key] == cx
-        seen[key] = cx
 
 
 def test_f_vector_and_dimension():

@@ -1,8 +1,10 @@
 """Mod-p simplicial homology and its use as a non-contractibility witness."""
 
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -17,7 +19,13 @@ from convexcodes.complexes import (
     simplex_faces,
 )
 from convexcodes.errors import DimensionOutOfRange, VoidComplex
-from convexcodes.homology import boundary_matrix, is_acyclic, rank_mod_p, reduced_betti
+from convexcodes.homology import (
+    _check_prime,
+    boundary_matrix,
+    is_acyclic,
+    rank_mod_p,
+    reduced_betti,
+)
 from convexcodes.instances import c_n, dunce_hat, random_complex, rp2
 
 from . import oracles
@@ -81,6 +89,38 @@ def test_reduced_betti_rejects_nonprime():
     for p in (1, 4, 6):
         with pytest.raises(ValueError):
             reduced_betti(TRI_BDRY, p)
+
+
+def test_prime_check_matches_trial_division():
+    for p in range(-3, 10_000):
+        is_prime = p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+        if is_prime:
+            _check_prime(p)
+        else:
+            with pytest.raises(ValueError):
+                _check_prime(p)
+
+
+def test_prime_check_rejects_pseudoprimes():
+    # Carmichael numbers, 10**18 + 1, and strong pseudoprimes to base 2,
+    # to bases 2..7 and to bases 2..23
+    for n in (561, 1105, 1729, 1_000_000_000_000_000_001, 2047, 3_215_031_751,
+              3_825_123_056_546_413_051):
+        with pytest.raises(ValueError, match="not prime"):
+            _check_prime(n)
+
+
+def test_large_prime_is_fast():
+    start = time.perf_counter()
+    bv = reduced_betti(TRI_BDRY, 1_000_000_000_000_000_003)
+    assert time.perf_counter() - start < 2
+    assert bv.betti == (0, 1)
+    _check_prime(2**61 - 1)
+
+
+def test_prime_above_supported_bound_rejected():
+    with pytest.raises(ValueError, match="exceeds"):
+        _check_prime(2**127 - 1)
 
 
 def test_void_complex_rejected():

@@ -14,8 +14,6 @@ from convexcodes.instances import (
 )
 from convexcodes.realization import (
     ArrangementCell,
-    cell_region,
-    code_link,
     enumerate_cells,
     good_cover_check,
     realized_code_from_U,
@@ -46,18 +44,6 @@ def test_cell_validation():
         ArrangementCell(0, F("1"))
     with pytest.raises(EmptyInput):
         ArrangementCell(F("12"), F("2"))
-
-
-def test_code_link_examples():
-    got = code_link(counterexample_code(), F("1"))
-    assert got.words == words("23", "34", "45", "3", "4")
-    assert code_link(Code(2, frozenset({F("12")})), F("1")).words == words("2")
-    # a code that is its own complex: the link at a facet keeps only the
-    # empty word
-    code = Code(3, frozenset({F("12"), F("1"), F("2")}))
-    assert code_link(code, F("12")).words == frozenset({0})
-    with pytest.raises(EmptyInput):
-        code_link(code, 0)
 
 
 def test_v_region_examples():
@@ -92,32 +78,6 @@ def test_enumerate_cells_bounds():
         list(enumerate_cells(13))
     with pytest.raises(EmptyInput):
         list(enumerate_cells(0))
-
-
-def test_cell_region_examples():
-    assert cell_region(ArrangementCell(F("1"), F("23"))) == F("1")
-    assert cell_region(ArrangementCell(F("13"), 0)) == F("13")
-    assert cell_region(ArrangementCell(F("1"), F("2"))) == F("1")
-
-
-def test_cell_region_is_smallest_covering_chamber():
-    for n in (2, 3, 4):
-        chambers = [s for s in range(1, 1 << n)]
-        for cell in enumerate_cells(n):
-            covering = [
-                s for s in chambers if oracles.cell_in_closed_chamber(cell, s)
-            ]
-            assert covering == sorted(covering)
-            region = cell_region(cell)
-            assert region in covering
-            smallest = min(covering, key=lambda s: (s.bit_count(), s))
-            assert region == smallest
-            # interval description of the covering set
-            assert set(covering) == {
-                s
-                for s in chambers
-                if cell.positive & ~s == 0 and s & ~(cell.positive | cell.zero) == 0
-            }
 
 
 def test_realized_code_examples():

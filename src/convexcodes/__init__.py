@@ -24,7 +24,6 @@ from .collapse import (
     certifies_collapse,
     elementary_collapse,
     free_pairs,
-    greedy_collapse,
     is_collapsible,
     kernel_name,
     replay_certificate,
@@ -84,7 +83,6 @@ __all__ = [
     "facet_intersections",
     "free_pairs",
     "good_cover_check",
-    "greedy_collapse",
     "is_acyclic",
     "is_collapsible",
     "is_k_sparse",

@@ -226,11 +226,11 @@ class _LinkTable:
     leaves the links after it undecided.
     """
 
-    def __init__(self, code: Code, budget: Budget, memo: dict | None, primes):
+    def __init__(self, code: Code, budget: Budget, primes):
         self.code = code
         self.cx = _check_code(code)
         self.budget = budget
-        self.memo = {} if memo is None else memo
+        self.memo = {}
         self.primes = primes
         self.links = dict.fromkeys(sorted(facet_intersections(self.cx), key=_face_sort_key))
 
@@ -282,7 +282,6 @@ class _LinkTable:
 def mandatory_codewords(
     code: Code,
     budget: Budget = Budget(),
-    memo: dict | None = None,
     primes=DEFAULT_PRIMES,
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Faces every code with this complex must contain, plus the undecided ones.
@@ -292,13 +291,12 @@ def mandatory_codewords(
     (found, unknown): ``found`` are proved mandatory, ``unknown`` are the
     faces whose link contractibility the ladder could not settle.
     """
-    return _LinkTable(code, budget, memo, primes).mandatory()
+    return _LinkTable(code, budget, primes).mandatory()
 
 
 def is_locally_good(
     code: Code,
     budget: Budget = Budget(),
-    memo: dict | None = None,
     primes=DEFAULT_PRIMES,
 ) -> TriStatus:
     """Does the code contain every face that is mandatory for its complex?
@@ -308,13 +306,12 @@ def is_locally_good(
     (size, mask) order as witness, with the link's own negative
     certificate attached; no link after it is built or decided.
     """
-    return _LinkTable(code, budget, memo, primes).locally_good()
+    return _LinkTable(code, budget, primes).locally_good()
 
 
 def is_locally_great(
     code: Code,
     budget: Budget = Budget(),
-    memo: dict | None = None,
 ) -> TriStatus:
     """Does every face missing from the code have a collapsible link?
 
@@ -330,7 +327,7 @@ def is_locally_great(
     decided and, if need be, searched as it is reached, and the walk stops
     at the first No.
     """
-    return _LinkTable(code, budget, memo, DEFAULT_PRIMES).locally_great()
+    return _LinkTable(code, budget, DEFAULT_PRIMES).locally_great()
 
 
 def is_max_intersection_complete(code: Code) -> bool:
@@ -379,7 +376,7 @@ def classify(
     primes=DEFAULT_PRIMES,
 ) -> AnalysisReport:
     """Run the full battery on one code from one link table and one memo."""
-    table = _LinkTable(code, budget, None, primes)
+    table = _LinkTable(code, budget, primes)
     # Deciding every link first, in (size, mask) order, fixes the order in
     # which the searches fill the shared memo, whatever the quantifiers read.
     found, unknown = table.mandatory()

@@ -3,10 +3,15 @@
 Subcommands: classify, mandatory, links, collapse, homology,
 realize-verify, goodcover, generate.  Analysis commands read a code or
 complex file (see :mod:`convexcodes.fileformat` for the format), print a
-human report or, with --json, a versioned machine report.  Exit status is
-0 unless --strict is given, in which case a No verdict exits 1 and an
-Unknown exits 2; usage errors exit 64, unreadable input exits 65, and an
-internal failure of the package itself exits 70.
+human report or, with --json, a versioned machine report.  Each command
+takes only the flags it reads, listed in ``_COMMANDS``: --budget and
+--seed where a collapse search runs, --primes where homology runs,
+--deterministic where the report has wall-clock fields, and --strict where
+there is a verdict; any other flag is a usage error.  Exit status is 0
+unless --strict is given, in which case a No verdict exits 1 and an
+Unknown exits 2; usage errors exit 64, unreadable input exits 65, an
+internal failure of the package itself exits 70, and an output file that
+cannot be written exits 73.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .complexes import (
     link,
     _face_sort_key,
 )
-from .errors import ConvexCodesError, InternalInconsistency, ParseError
+from .errors import ConvexCodesError, InternalInconsistency, ParseError, TooLarge
 from .fileformat import emit_code, emit_complex, parse_code, parse_complex, parse_face
 from .homology import DEFAULT_PRIMES, BettiVector, _check_prime, reduced_betti
 from .instances import (
@@ -61,6 +66,7 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
+EXIT_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,13 +115,12 @@ def _cert_json(cert):
     if isinstance(cert, dict):
         return {"kind": "summary", **{k: cert[k] for k in sorted(cert)}}
     if isinstance(cert, (tuple, list)):
-        return {
-            "kind": "collapse-steps",
-            "steps": [
-                {"sigma": _face_json(s.sigma), "tau": _face_json(s.tau)} for s in cert
-            ],
-        }
+        return {"kind": "collapse-steps", "steps": _steps_json(cert)}
     return {"kind": "opaque", "text": str(cert)}
+
+
+def _steps_json(steps) -> list[dict]:
+    return [{"sigma": _face_json(s.sigma), "tau": _face_json(s.tau)} for s in steps]
 
 
 def _tri_json(st: TriStatus) -> dict:
@@ -293,15 +298,9 @@ def _cmd_links(args) -> int:
 
 
 def _outcome_json(out: CollapseOutcome) -> dict:
-    steps = None
-    if out.certificate is not None:
-        steps = [
-            {"sigma": _face_json(s.sigma), "tau": _face_json(s.tau)}
-            for s in out.certificate
-        ]
     return {
         "status": out.status.value,
-        "certificate": steps,
+        "certificate": None if out.certificate is None else _steps_json(out.certificate),
         "nodes_explored": out.nodes_explored,
         "budget_exhausted": out.budget_exhausted,
     }
@@ -389,92 +388,99 @@ def _cmd_goodcover(args) -> int:
     return _strict_exit(args, st.value)
 
 
+def _gen_c_n(arg) -> str:
+    if arg is None:
+        raise ValueError("c-n needs a label count, e.g. generate c-n 4")
+    return emit_code(c_n(int(arg)))
+
+
+def _gen_cone_minus_apex(arg) -> str:
+    if arg is None:
+        raise ValueError("cone-minus-apex needs a complex file argument")
+    return emit_code(cone_minus_apex(_read_complex(arg)))
+
+
+# generate's instance names, in the order --help lists them, each with the
+# function that turns the optional argument into the file text.
+_INSTANCES = {
+    "intro-code": lambda arg: emit_code(intro_code()),
+    "counterexample": lambda arg: emit_code(counterexample_code()),
+    "c-n": _gen_c_n,
+    "cone-minus-apex": _gen_cone_minus_apex,
+    "dunce-hat": lambda arg: emit_complex(dunce_hat()),
+    "rp2": lambda arg: emit_complex(rp2()),
+    "connected-not-goodcover": lambda arg: emit_code(connected_not_goodcover_code()),
+}
+
+
 def _cmd_generate(args) -> int:
-    name = args.name
     try:
-        if name == "intro-code":
-            text = emit_code(intro_code())
-        elif name == "counterexample":
-            text = emit_code(counterexample_code())
-        elif name == "connected-not-goodcover":
-            text = emit_code(connected_not_goodcover_code())
-        elif name == "c-n":
-            if args.arg is None:
-                raise ValueError("c-n needs a label count, e.g. generate c-n 4")
-            text = emit_code(c_n(int(args.arg)))
-        elif name == "cone-minus-apex":
-            if args.arg is None:
-                raise ValueError("cone-minus-apex needs a complex file argument")
-            text = emit_code(cone_minus_apex(_read_complex(args.arg)))
-        elif name == "dunce-hat":
-            text = emit_complex(dunce_hat())
-        elif name == "rp2":
-            text = emit_complex(rp2())
-        else:
-            raise ValueError(f"unknown instance {name!r}")
-    except ValueError as exc:
+        text = _INSTANCES[args.name](args.arg)
+    except (ValueError, TooLarge) as exc:
+        # a missing or non-integer argument, or a label count c_n does not take
         print(f"generate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"generate: cannot write {args.output}: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                     help="collapse search node limit")
-    sub.add_argument("--primes", type=_prime_list, default=DEFAULT_PRIMES,
-                     help="comma-separated homology field characteristics")
-    sub.add_argument("--seed", type=int, default=0, help="seed for greedy restarts")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="suppress wall-clock fields for reproducible output")
-    sub.add_argument("--json", action="store_true", help="machine-readable report")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 1 on a No verdict, 2 on Unknown")
+_FLAGS = {
+    "--budget": dict(type=int, default=DEFAULT_NODE_BUDGET, help="collapse search node limit"),
+    "--seed": dict(type=int, default=0, help="seed for greedy restarts"),
+    "--primes": dict(type=_prime_list, default=DEFAULT_PRIMES,
+                     help="comma-separated homology field characteristics"),
+    "--json": dict(action="store_true", help="machine-readable report"),
+    "--deterministic": dict(action="store_true",
+                            help="suppress wall-clock fields for reproducible output"),
+    "--strict": dict(action="store_true", help="exit 1 on a No verdict, 2 on Unknown"),
+    "--face": dict(required=True, help="face, e.g. 23 or '2 3'"),
+    "--engine": dict(choices=list(ENGINES), default="strict", help="collapse step vocabulary"),
+}
+
+_CODE_FILE = "code file"
+_COMPLEX_FILE = "complex file (one facet per line)"
+_DECIDES_LINKS = ("--budget", "--seed", "--primes", "--json", "--strict")
+
+# Each analysis command: handler, help, input file, and the flags it reads.
+_COMMANDS = {
+    "classify": (_cmd_classify, "full obstruction report for a code file", _CODE_FILE,
+                 _DECIDES_LINKS + ("--deterministic",)),
+    "mandatory": (_cmd_mandatory, "mandatory codewords of a code file", _CODE_FILE,
+                  _DECIDES_LINKS),
+    "goodcover": (_cmd_goodcover, "good-cover verdict for a code file", _CODE_FILE,
+                  _DECIDES_LINKS),
+    "realize-verify": (_cmd_realize_verify, "check the open realization reproduces the code",
+                       _CODE_FILE, ("--json", "--strict")),
+    "links": (_cmd_links, "link of one face and its contractibility", _CODE_FILE,
+              ("--face",) + _DECIDES_LINKS),
+    "collapse": (_cmd_collapse, "collapsibility of a complex file", _COMPLEX_FILE,
+                 ("--engine", "--budget", "--seed", "--json", "--strict")),
+    "homology": (_cmd_homology, "reduced betti numbers of a complex file", _COMPLEX_FILE,
+                 ("--primes", "--json")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="convexcodes",
                   description="local obstructions to convexity for neural codes")
     subs = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    for cmd, fn, what in (
-        ("classify", _cmd_classify, "full obstruction report for a code file"),
-        ("mandatory", _cmd_mandatory, "mandatory codewords of a code file"),
-        ("goodcover", _cmd_goodcover, "good-cover verdict for a code file"),
-        ("realize-verify", _cmd_realize_verify,
-         "check the open realization reproduces the code"),
-    ):
+    for cmd, (fn, what, path_help, flags) in _COMMANDS.items():
         sub = subs.add_parser(cmd, help=what)
-        sub.add_argument("path", help="code file")
-        _add_common(sub)
+        sub.add_argument("path", help=path_help)
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(func=fn)
 
-    sub = subs.add_parser("links", help="link of one face and its contractibility")
-    sub.add_argument("path", help="code file")
-    sub.add_argument("--face", required=True, help="face, e.g. 23 or '2 3'")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_links)
-
-    sub = subs.add_parser("collapse", help="collapsibility of a complex file")
-    sub.add_argument("path", help="complex file (one facet per line)")
-    sub.add_argument("--engine", choices=list(ENGINES), default="strict")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_collapse)
-
-    sub = subs.add_parser("homology", help="reduced betti numbers of a complex file")
-    sub.add_argument("path", help="complex file (one facet per line)")
-    _add_common(sub)
-    sub.set_defaults(func=_cmd_homology)
-
     sub = subs.add_parser("generate", help="write a built-in example instance")
-    sub.add_argument("name", choices=[
-        "intro-code", "counterexample", "c-n", "cone-minus-apex",
-        "dunce-hat", "rp2", "connected-not-goodcover",
-    ])
+    sub.add_argument("name", choices=list(_INSTANCES))
     sub.add_argument("arg", nargs="?", default=None,
                      help="label count for c-n, complex file for cone-minus-apex")
     sub.add_argument("-o", "--output", default=None, help="write here instead of stdout")

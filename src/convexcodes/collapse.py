@@ -32,7 +32,6 @@ counts depend only on the input, the seed, the budget and the memo table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,9 +59,9 @@ def kernel_name() -> str:
 class Budget:
     """Resource limits for one collapsibility question.
 
-    ``nodes`` caps how many complexes the search may expand; the greedy
-    front end runs ``greedy_restarts`` seeded walks before backtracking
-    begins and is disabled by setting it to 0.
+    ``nodes`` caps how many complexes the search may expand;
+    :func:`is_collapsible` runs ``greedy_restarts`` seeded walks, drawn
+    from ``seed``, before backtracking begins, and none when it is 0.
     """
 
     nodes: int = DEFAULT_NODE_BUDGET
@@ -334,48 +333,17 @@ def is_collapsible(
     return CollapseOutcome(Verdict.UNKNOWN, None, counters[0], True)
 
 
-def greedy_collapse(
-    cx: SimplicialComplex,
-    seed: int = 0,
-    restarts: int = 2,
-    engine: str = "strict",
-) -> CollapseOutcome:
-    """Heuristic front end: seeded random walks, no backtracking.
-
-    Yes with a certificate when some walk reaches a point; otherwise
-    Unknown, never No (a stuck walk proves nothing about other orders).
-    Each walk is the one ``is_collapsible`` runs for the same seed and
-    restart index, on a fresh memo table and with no node limit.
-    """
-    if cx.is_void:
-        raise VoidComplex("collapsibility of the void complex is undefined")
-    _check_mode(engine)
-    state = tuple(sorted(cx.facets))
-    if _is_point(state):
-        return CollapseOutcome(Verdict.YES, (), 0, False)
-    counters = [0, 0]
-    for r in range(restarts):
-        table = {}
-        if _greedy_walk(state, engine, seed & _M64, r, math.inf, table, counters):
-            return CollapseOutcome(Verdict.YES, _certificate(state, engine, table),
-                                   counters[0], False)
-    return CollapseOutcome(Verdict.UNKNOWN, None, counters[0], True)
-
-
-def replay_certificate(
-    cx: SimplicialComplex,
-    steps,
-    require_proper: bool = True,
-) -> SimplicialComplex:
+def replay_certificate(cx: SimplicialComplex, steps) -> SimplicialComplex:
     """Re-apply a step sequence, checking each step's legality from scratch.
 
-    With ``require_proper`` every step must have sigma strictly below tau,
-    which is what a collapsibility certificate promises.  Returns the final
-    complex; raises IllegalStep the moment a step fails.
+    Every step must have sigma strictly below tau, which is what a
+    collapsibility certificate promises; :func:`elementary_collapse`
+    applies a single facet deletion.  Returns the final complex; raises
+    IllegalStep the moment a step fails.
     """
     cur = cx
     for step in steps:
-        if require_proper and step.sigma == step.tau:
+        if step.sigma == step.tau:
             raise IllegalStep(f"step {step} deletes a facet instead of collapsing")
         cur = elementary_collapse(cur, step)
     return cur

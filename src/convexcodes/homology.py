@@ -144,16 +144,15 @@ def boundary_matrix(cx: SimplicialComplex, k: int, p: int) -> BoundaryMatrix:
     return BoundaryMatrix((len(rows), len(cols)), p, tuple(columns))
 
 
-def rank_mod_p(mat: BoundaryMatrix, p: int) -> int:
-    """Rank over F_p by exact elimination of the sparse columns.
+def rank_mod_p(mat: BoundaryMatrix) -> int:
+    """Rank over the matrix's field F_p by exact elimination of the sparse columns.
 
     Over F_2 each column is reduced against an XOR basis keyed by leading
     bit; over odd p, against pivot columns keyed by their largest row and
     scaled to a pivot entry of 1.
     """
+    p = mat.p
     _check_prime(p)
-    if mat.p != p:
-        raise ValueError(f"matrix is over F_{mat.p}, not F_{p}")
     if p == 2:
         basis: dict[int, int] = {}
         for col in mat.columns:
@@ -194,7 +193,7 @@ def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:
     if dim < 0:
         return BettiVector(p, ())
     counts = cx.f_vector()
-    ranks = [rank_mod_p(boundary_matrix(cx, k, p), p) for k in range(dim + 1)]
+    ranks = [rank_mod_p(boundary_matrix(cx, k, p)) for k in range(dim + 1)]
     ranks.append(0)
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
     return BettiVector(p, betti)

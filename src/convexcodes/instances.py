@@ -57,7 +57,7 @@ def naive_closure_trap_code() -> Code:
 def c_n(n: int) -> Code:
     """All proper subsets of the label set, the empty word included."""
     if not 1 <= n <= 16:
-        raise TooLarge("c_n is meant for small n")
+        raise TooLarge(f"c_n takes 1 to 16 labels, not {n}")
     full = (1 << n) - 1
     return Code(n, frozenset(range(full)))
 

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .analysis import contractibility_status
 from .collapse import Budget
-from .complexes import Code, closure, face_label, order_complex
+from .complexes import MAX_VERTICES, Code, closure, face_label, order_complex
 from .errors import EmptyInput, EmptyRegion, TooLarge
 from .homology import DEFAULT_PRIMES
 from .verdicts import R_ALL_REGIONS, TriStatus, for_all
@@ -70,12 +70,19 @@ def v_region_contractibility(
 
     The intersection deformation retracts to the order complex of the
     codewords containing tau, so the question is settled there, exactly.
+    Raises TooLarge, before building it, when more codewords contain tau
+    than that complex has room for as vertices.
     """
     if tau == 0:
         raise EmptyInput("tau must be a nonempty face")
     pieces = frozenset(w for w in code.words if tau & ~w == 0)
     if not pieces:
         raise EmptyRegion(f"no codeword contains {face_label(tau)}")
+    if len(pieces) > MAX_VERTICES:
+        raise TooLarge(
+            f"{len(pieces)} codewords contain the face {face_label(tau)}, more than "
+            f"the {MAX_VERTICES} vertices its order complex may have"
+        )
     return contractibility_status(order_complex(pieces), budget, memo, primes)
 
 
@@ -144,34 +151,27 @@ def realized_word_at_closed(code: Code, cell: ArrangementCell) -> int:
         sub = (sub - 1) & z
 
 
-def realized_code_from_U(code: Code) -> Code:
-    """Read the code back off the open realization, cell by cell."""
+def _realized_code(code: Code, word_at) -> Code:
+    """The nonzero words ``word_at(code, cell)`` gives over every cell."""
     if not code.words:
         raise EmptyInput("the code has no words")
-    words = set()
-    for cell in enumerate_cells(code.ambient_n):
-        w = realized_word_at(code, cell)
-        if w:
-            words.add(w)
-    return Code(code.ambient_n, frozenset(words))
+    cells = enumerate_cells(code.ambient_n)
+    return Code(code.ambient_n, frozenset(w for cell in cells if (w := word_at(code, cell))))
+
+
+def realized_code_from_U(code: Code) -> Code:
+    """Read the code back off the open realization, cell by cell."""
+    return _realized_code(code, realized_word_at)
 
 
 def realized_code_from_closures(code: Code) -> Code:
     """Read the code off the closed realization; can exceed the input."""
-    if not code.words:
-        raise EmptyInput("the code has no words")
-    words = set()
-    for cell in enumerate_cells(code.ambient_n):
-        w = realized_word_at_closed(code, cell)
-        if w:
-            words.add(w)
-    return Code(code.ambient_n, frozenset(words))
+    return _realized_code(code, realized_word_at_closed)
 
 
 def good_cover_check(
     code: Code,
     budget: Budget = Budget(),
-    memo: dict | None = None,
     primes=DEFAULT_PRIMES,
 ) -> TriStatus:
     """Is the canonical open realization a good cover?
@@ -183,7 +183,7 @@ def good_cover_check(
     if not code.words:
         raise EmptyInput("the code has no words")
     cx = closure(code)
-    memo = {} if memo is None else memo
+    memo = {}
     checks = (
         (tau, v_region_contractibility(code, tau, budget, memo, primes))
         for tau in cx.faces()

@@ -1,9 +1,11 @@
 """Command-line front end: outputs, exit codes, JSON schema, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +204,69 @@ def test_generate_errors(files, capsys):
     with pytest.raises(SystemExit) as e:
         run(["generate", "not-a-name"])
     assert e.value.code == 64
+
+
+@pytest.mark.parametrize("count", ["0", "17", "20", "x"])
+def test_generate_bad_label_count_is_a_usage_error(capsys, count):
+    assert run(["generate", "c-n", count]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("generate: ") and err.count("\n") == 1
+
+
+def test_generate_unwritable_output_exits_73(capsys, tmp_path):
+    assert run(["generate", "intro-code", "-o", str(tmp_path / "nosuch" / "f")]) == 73
+    err = capsys.readouterr().err
+    assert err.startswith("generate: cannot write") and err.count("\n") == 1
+
+
+def test_goodcover_beyond_the_order_complex_limit(capsys, tmp_path):
+    path = tmp_path / "c8.code"
+    path.write_text("".join(f"{w:08b}\n" for w in range(255)))
+    assert run(["goodcover", str(path)]) == 65
+    assert capsys.readouterr().err.startswith("error: 127 codewords contain the face 1,")
+
+
+# The flags each analysis command reads; it takes no other.
+TAKES = {
+    "classify": {"--budget", "--seed", "--primes", "--json", "--deterministic", "--strict"},
+    "mandatory": {"--budget", "--seed", "--primes", "--json", "--strict"},
+    "goodcover": {"--budget", "--seed", "--primes", "--json", "--strict"},
+    "links": {"--budget", "--seed", "--primes", "--json", "--strict"},
+    "collapse": {"--budget", "--seed", "--json", "--strict"},
+    "homology": {"--primes", "--json"},
+    "realize-verify": {"--json", "--strict"},
+}
+FLAG_VALUES = {"--budget": ["50"], "--seed": ["3"], "--primes": ["2,3"]}
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_each_command_takes_only_the_flags_it_reads(files, capsys, tmp_path, command):
+    if command in ("collapse", "homology"):
+        path = tmp_path / "collapsible.cx"
+        path.write_text("123\n34\n")
+        argv = [command, str(path)]
+    else:
+        argv = [command, files["intro-code"]] + (["--face", "1"] if command == "links" else [])
+    for flag in sorted(set().union(*TAKES.values())):
+        with_flag = argv + [flag] + FLAG_VALUES.get(flag, [])
+        if flag in TAKES[command]:
+            assert run(with_flag) == 0, flag
+        else:
+            with pytest.raises(SystemExit) as e:
+                run(with_flag)
+            assert e.value.code == 64, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("convexcodes ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_usage_and_parse_errors(files, capsys, tmp_path):

@@ -9,7 +9,6 @@ from convexcodes.collapse import (
     certifies_collapse,
     elementary_collapse,
     free_pairs,
-    greedy_collapse,
     is_collapsible,
     kernel_name,
     replay_certificate,
@@ -139,8 +138,6 @@ def test_simplices_collapse():
 def test_void_and_engine_validation():
     with pytest.raises(VoidComplex):
         is_collapsible(SimplicialComplex.void(2))
-    with pytest.raises(VoidComplex):
-        greedy_collapse(SimplicialComplex.void(2))
     with pytest.raises(ValueError):
         is_collapsible(POINT, engine="generalized")
 
@@ -166,8 +163,8 @@ def test_replay_rejects_facet_deletion():
     step = CollapseStep(F("123"), F("123"))
     with pytest.raises(IllegalStep):
         replay_certificate(TWO_FACETS, [step])
-    # the same step passes when proper steps are not demanded
-    replay_certificate(TWO_FACETS, [step], require_proper=False)
+    # a single step may still delete a facet
+    assert elementary_collapse(TWO_FACETS, step).facets == (F("12"), F("13"), F("23"), F("34"))
 
 
 def test_engine_equivalence_on_all_small_antichains():
@@ -227,43 +224,25 @@ def test_unknown_iff_budget_exhausted():
             assert (out.status is Verdict.UNKNOWN) == out.budget_exhausted
 
 
-def test_greedy_examples():
-    assert greedy_collapse(POINT).status is Verdict.YES
-    assert greedy_collapse(POINT).certificate == ()
-    for seed in (0, 1, 7):
-        assert greedy_collapse(dunce_hat(), seed=seed).status is Verdict.UNKNOWN
-    bary = subdivided_triangle()
-    out = greedy_collapse(bary, seed=1, restarts=4)
-    assert out.status is Verdict.YES
-    assert certifies_collapse(bary, out.certificate)
-
-
 def test_greedy_pinned_outcomes():
-    # pinned node counts and certificate: each restart walks on a fresh memo
-    # table, so a later walk re-expands the states an earlier one got stuck
-    # in instead of stopping at the dead end the earlier walk recorded
+    # pinned node counts and certificate of the seeded walks; the walks of
+    # one call share its memo table, so a later walk stops at a dead end an
+    # earlier one recorded
     bary = subdivided_triangle()
-    out = greedy_collapse(bary, seed=1, restarts=4)
+    out = is_collapsible(bary, budget=Budget(nodes=12, greedy_restarts=4, seed=1))
     assert out.status is Verdict.YES and out.nodes_explored == 12
     assert [(s.sigma, s.tau) for s in out.certificate] == [
         (20, 84), (10, 74), (72, 73), (34, 98), (36, 100), (32, 96),
         (65, 81), (2, 66), (4, 68), (64, 80), (8, 9), (1, 17)]
     dh = dunce_hat()
     trap = SimplicialComplex.from_facets(9, list(dh.facets) + [dh.facets[0] | 1 << 8])
-    out = greedy_collapse(trap, seed=1, restarts=3)
+    # three walks get stuck after 4 nodes each before the search's 12
+    for restarts, nodes in ((0, 12), (1, 16), (3, 24)):
+        out = is_collapsible(trap, budget=Budget(greedy_restarts=restarts, seed=1))
+        assert out.status is Verdict.NO and out.nodes_explored == nodes
+    out = is_collapsible(trap, budget=Budget(nodes=20, greedy_restarts=3, seed=1))
     assert out.status is Verdict.UNKNOWN and out.budget_exhausted
-    assert out.certificate is None and out.nodes_explored == 15
-
-
-def test_greedy_is_deterministic():
-    bary = subdivided_triangle()
-    a = greedy_collapse(bary, seed=3, restarts=4)
-    b = greedy_collapse(bary, seed=3, restarts=4)
-    assert a == b
-    for seed in range(6):
-        out = greedy_collapse(bary, seed=seed, restarts=6)
-        if out.status is Verdict.YES:
-            assert certifies_collapse(bary, out.certificate)
+    assert out.certificate is None and out.nodes_explored == 20
 
 
 def test_facet_deletion_breaks_contractibility():

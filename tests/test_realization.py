@@ -2,11 +2,13 @@
 
 import pytest
 
+from convexcodes import realization
 from convexcodes.complexes import Code, closure, face_of, order_complex
 from convexcodes.errors import EmptyInput, EmptyRegion, TooLarge
 from convexcodes.instances import (
     all_codes,
     broken_line_code,
+    c_n,
     counterexample_code,
     naive_closure_trap_code,
     random_code,
@@ -55,6 +57,22 @@ def test_v_region_examples():
     assert st.value is Verdict.YES  # single word above 23, a point
     with pytest.raises(EmptyRegion):
         v_region_contractibility(broken_line_code(), F("12"))
+
+
+def test_v_region_too_large_for_an_order_complex(monkeypatch):
+    # 64 codewords contain label 1: the order complex fits, and the full
+    # word on top makes it a cone
+    above_1 = [w for w in range(1, 1 << 7) if w & 1]
+    assert v_region_contractibility(Code(7, frozenset(above_1)), F("1")).is_yes
+    with pytest.raises(TooLarge, match="65 codewords contain the face 1,"):
+        v_region_contractibility(Code(8, frozenset(above_1 + [0b10000001])), F("1"))
+
+    def unbuilt(faces):
+        raise AssertionError("the order complex was built")
+
+    monkeypatch.setattr(realization, "order_complex", unbuilt)
+    with pytest.raises(TooLarge, match="127 codewords contain the face 1,"):
+        good_cover_check(c_n(8))
 
 
 def test_enumerate_cells_small():

@@ -188,6 +188,17 @@ def _prime_list(text: str) -> tuple[int, ...]:
     return primes
 
 
+def _node_budget(text: str) -> int:
+    """The --budget value: a node count, 0 or more."""
+    try:
+        nodes = int(text)
+        if nodes < 0:
+            raise ValueError(f"negative node count {nodes}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a node count (0 or more)") from exc
+    return nodes
+
+
 def _input_json(code: Code) -> dict:
     return {
         "ambient_n": code.ambient_n,
@@ -401,23 +412,32 @@ def _gen_cone_minus_apex(arg) -> str:
 
 
 # generate's instance names, in the order --help lists them, each with the
-# function that turns the optional argument into the file text.
+# function that makes the file text.  The two in _TAKES_ARGUMENT turn the
+# optional argument into the text; the others take no argument.
 _INSTANCES = {
-    "intro-code": lambda arg: emit_code(intro_code()),
-    "counterexample": lambda arg: emit_code(counterexample_code()),
+    "intro-code": lambda: emit_code(intro_code()),
+    "counterexample": lambda: emit_code(counterexample_code()),
     "c-n": _gen_c_n,
     "cone-minus-apex": _gen_cone_minus_apex,
-    "dunce-hat": lambda arg: emit_complex(dunce_hat()),
-    "rp2": lambda arg: emit_complex(rp2()),
-    "connected-not-goodcover": lambda arg: emit_code(connected_not_goodcover_code()),
+    "dunce-hat": lambda: emit_complex(dunce_hat()),
+    "rp2": lambda: emit_complex(rp2()),
+    "connected-not-goodcover": lambda: emit_code(connected_not_goodcover_code()),
 }
+_TAKES_ARGUMENT = (_gen_c_n, _gen_cone_minus_apex)
 
 
 def _cmd_generate(args) -> int:
+    make = _INSTANCES[args.name]
     try:
-        text = _INSTANCES[args.name](args.arg)
+        if make in _TAKES_ARGUMENT:
+            text = make(args.arg)
+        elif args.arg is not None:
+            raise ValueError(f"{args.name} takes no argument, not {args.arg!r}")
+        else:
+            text = make()
     except (ValueError, TooLarge) as exc:
-        # a missing or non-integer argument, or a label count c_n does not take
+        # a missing, stray or non-integer argument, or a label count c_n
+        # does not take
         print(f"generate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not args.output:
@@ -433,7 +453,8 @@ def _cmd_generate(args) -> int:
 
 
 _FLAGS = {
-    "--budget": dict(type=int, default=DEFAULT_NODE_BUDGET, help="collapse search node limit"),
+    "--budget": dict(type=_node_budget, default=DEFAULT_NODE_BUDGET,
+                     help="collapse search node limit (0 or more)"),
     "--seed": dict(type=int, default=0, help="seed for greedy restarts"),
     "--primes": dict(type=_prime_list, default=DEFAULT_PRIMES,
                      help="comma-separated homology field characteristics"),

@@ -15,6 +15,15 @@ intersection of the cover sets is contractible exactly when the order
 complex of the codewords above the intersection's label set is.  The
 closed-set variant of the construction is also provided because it is
 wrong in an instructive way: it can grow extra codewords.
+
+The good-cover check does no work whose answer is already known.  Call
+the codewords containing a label set tau its up-set; the order complex
+depends on tau through its up-set alone.  When tau is itself a codeword
+it is the least element of its up-set, so it lies on every maximal chain
+and the order complex is a cone: that region is contractible without
+building anything.  Every other face is decided once per distinct up-set,
+and faces sharing an up-set share the verdict.  The realized code is read
+off every cell, each handled as a ``(positive, zero)`` pair of int masks.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .collapse import Budget
 from .complexes import MAX_VERTICES, Code, closure, face_label, order_complex
 from .errors import EmptyInput, EmptyRegion, TooLarge
 from .homology import DEFAULT_PRIMES
-from .verdicts import R_ALL_REGIONS, TriStatus, for_all
+from .verdicts import R_ALL_REGIONS, R_CONE_APEX, TriStatus, Verdict, for_all
 
 MAX_CELL_AMBIENT = 12
 
@@ -70,8 +79,12 @@ def v_region_contractibility(
 
     The intersection deformation retracts to the order complex of the
     codewords containing tau, so the question is settled there, exactly.
-    Raises TooLarge, before building it, when more codewords contain tau
-    than that complex has room for as vertices.
+    The answer depends on tau only through that set, its up-set, which is
+    why :func:`good_cover_check` asks once per distinct up-set.  When tau
+    is a codeword it is the least element of its up-set, so the order
+    complex is a cone; :func:`good_cover_check` settles such faces without
+    calling this function.  Raises TooLarge, before building the complex,
+    when more codewords contain tau than it has room for as vertices.
     """
     if tau == 0:
         raise EmptyInput("tau must be a nonempty face")
@@ -86,16 +99,20 @@ def v_region_contractibility(
     return contractibility_status(order_complex(pieces), budget, memo, primes)
 
 
+def _check_cell_ambient(n: int) -> None:
+    if n < 1:
+        raise EmptyInput("need at least one label")
+    if n > MAX_CELL_AMBIENT:
+        raise TooLarge(f"cell enumeration is capped at {MAX_CELL_AMBIENT} labels")
+
+
 def enumerate_cells(n: int) -> Iterator[ArrangementCell]:
     """All 3^n - 2^n arrangement cells, by zero-part size then masks.
 
     A 1-label ambient space is a single point carrying the one cell
     ({1}, {}); the same enumeration covers it without special handling.
     """
-    if n < 1:
-        raise EmptyInput("need at least one label")
-    if n > MAX_CELL_AMBIENT:
-        raise TooLarge(f"cell enumeration is capped at {MAX_CELL_AMBIENT} labels")
+    _check_cell_ambient(n)
     full = (1 << n) - 1
     triples = []
     for pos in range(1, full + 1):
@@ -111,15 +128,26 @@ def enumerate_cells(n: int) -> Iterator[ArrangementCell]:
         yield ArrangementCell(pos, z)
 
 
-def _interval_in_code(code: Code, cell: ArrangementCell) -> bool:
-    lo, z = cell.positive, cell.zero
-    sub = z
+def _open_word(words: frozenset[int], pos: int, zero: int) -> int:
+    sub = zero
     while True:
-        if (lo | sub) not in code.words:
-            return False
+        if (pos | sub) not in words:
+            return 0
         if sub == 0:
-            return True
-        sub = (sub - 1) & z
+            return pos
+        sub = (sub - 1) & zero
+
+
+def _closed_word(words: frozenset[int], pos: int, zero: int) -> int:
+    word = 0
+    sub = zero
+    while True:
+        tau = pos | sub
+        if tau in words:
+            word |= tau
+        if sub == 0:
+            return word
+        sub = (sub - 1) & zero
 
 
 def realized_word_at(code: Code, cell: ArrangementCell) -> int:
@@ -130,7 +158,7 @@ def realized_word_at(code: Code, cell: ArrangementCell) -> int:
     belongs to the cover.  So the cell realizes its full positive part or
     nothing.
     """
-    return cell.positive if _interval_in_code(code, cell) else 0
+    return _open_word(code.words, cell.positive, cell.zero)
 
 
 def realized_word_at_closed(code: Code, cell: ArrangementCell) -> int:
@@ -139,34 +167,40 @@ def realized_word_at_closed(code: Code, cell: ArrangementCell) -> int:
     Closure only needs one adjacent chamber in the cover, which is what
     lets spurious codewords appear.
     """
-    lo, z = cell.positive, cell.zero
-    word = 0
-    sub = z
-    while True:
-        tau = lo | sub
-        if tau in code.words:
-            word |= tau
-        if sub == 0:
-            return word
-        sub = (sub - 1) & z
+    return _closed_word(code.words, cell.positive, cell.zero)
 
 
 def _realized_code(code: Code, word_at) -> Code:
-    """The nonzero words ``word_at(code, cell)`` gives over every cell."""
+    """The nonzero words ``word_at(words, positive, zero)`` gives over every cell."""
     if not code.words:
         raise EmptyInput("the code has no words")
-    cells = enumerate_cells(code.ambient_n)
-    return Code(code.ambient_n, frozenset(w for cell in cells if (w := word_at(code, cell))))
+    n = code.ambient_n
+    _check_cell_ambient(n)
+    words = code.words
+    full = (1 << n) - 1
+    # Collected per zero-part size, so the words enter the frozenset in
+    # enumerate_cells order and it comes out laid out the same.
+    by_zero_size = [[] for _ in range(n)]
+    for pos in range(1, full + 1):
+        rest = full ^ pos
+        z = 0
+        while True:
+            if w := word_at(words, pos, z):
+                by_zero_size[z.bit_count()].append(w)
+            z = (z - rest) & rest  # the next subset of rest, ascending
+            if not z:
+                break
+    return Code(n, frozenset(w for ws in by_zero_size for w in ws))
 
 
 def realized_code_from_U(code: Code) -> Code:
     """Read the code back off the open realization, cell by cell."""
-    return _realized_code(code, realized_word_at)
+    return _realized_code(code, _open_word)
 
 
 def realized_code_from_closures(code: Code) -> Code:
     """Read the code off the closed realization; can exceed the input."""
-    return _realized_code(code, realized_word_at_closed)
+    return _realized_code(code, _closed_word)
 
 
 def good_cover_check(
@@ -176,17 +210,31 @@ def good_cover_check(
 ) -> TriStatus:
     """Is the canonical open realization a good cover?
 
-    Walks every nonempty label set contained in some codeword and checks
-    the contractibility of its cover intersection.  Yes means the code is
-    realized by a good cover; No carries the offending label set.
+    Walks every nonempty label set contained in some codeword, in (size,
+    mask) order, and checks the contractibility of its cover intersection.
+    Yes means the code is realized by a good cover; No carries the
+    offending label set.  A label set that is itself a codeword is the
+    least element of the codewords above it, so its region is a cone: it
+    gets Yes with reason ``cone-apex`` and itself as the apex, and no order
+    complex is built for it.  Every other label set is decided by
+    :func:`v_region_contractibility` once per distinct set of codewords
+    above it, and label sets with the same such set share the verdict.
+    All regions share one search memo.
     """
     if not code.words:
         raise EmptyInput("the code has no words")
-    cx = closure(code)
+    words = code.words
     memo = {}
-    checks = (
-        (tau, v_region_contractibility(code, tau, budget, memo, primes))
-        for tau in cx.faces()
-        if tau
-    )
+    by_upset: dict[frozenset[int], TriStatus] = {}
+
+    def region(tau: int) -> TriStatus:
+        if tau in words:
+            return TriStatus(Verdict.YES, R_CONE_APEX, certificate=tau)
+        upset = frozenset(w for w in words if tau & ~w == 0)
+        st = by_upset.get(upset)
+        if st is None:
+            st = by_upset[upset] = v_region_contractibility(code, tau, budget, memo, primes)
+        return st
+
+    checks = ((tau, region(tau)) for tau in closure(code).faces() if tau)
     return for_all(checks, R_ALL_REGIONS)

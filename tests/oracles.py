@@ -6,6 +6,7 @@ and sparse-column machinery of the package, so agreement is evidence
 rather than tautology.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from convexcodes.complexes import face_members, face_of
@@ -219,6 +220,67 @@ def naive_locally_great(code, budget=None):
     if first_unknown is not None:
         return Verdict.UNKNOWN, first_unknown
     return Verdict.YES, None
+
+
+def naive_good_cover(code, budget=None, primes=(2, 3, 5)):
+    """The good-cover check with no shortcut: one order complex per face.
+
+    Decides the cover intersection over every nonempty face of the code's
+    complex, codewords included, by its own ``v_region_contractibility``
+    call, sharing only the search memo, and quantifies in (size, mask)
+    order.  The reference for the cone and up-set shortcuts of
+    ``convexcodes.realization.good_cover_check``.
+    """
+    from convexcodes.collapse import Budget
+    from convexcodes.complexes import closure
+    from convexcodes.realization import v_region_contractibility
+    from convexcodes.verdicts import R_ALL_REGIONS, for_all
+
+    budget = budget or Budget()
+    memo = {}
+    checks = (
+        (tau, v_region_contractibility(code, tau, budget, memo, primes))
+        for tau in closure(code).faces()
+        if tau
+    )
+    return for_all(checks, R_ALL_REGIONS)
+
+
+@lru_cache(maxsize=4096)
+def _adjacent_chambers(cell):
+    """The label sets S with positive part P <= S <= P | Z, as frozensets."""
+    pos, zero = to_set(cell.positive), to_set(cell.zero)
+    return tuple(pos | frozenset(extra) for r in range(len(zero) + 1)
+                 for extra in combinations(sorted(zero), r))
+
+
+def naive_cell_word(word_sets, cell, closed=False):
+    """The word a realization gives one cell, from the definition.
+
+    ``word_sets`` holds the codewords as frozensets of labels.  The open
+    rule gives the cell's positive part when every adjacent chamber is a
+    codeword and nothing otherwise; the closed rule gives the union of the
+    adjacent chambers that are codewords.
+    """
+    chambers = _adjacent_chambers(cell)
+    if closed:
+        return to_mask(frozenset().union(*(s for s in chambers if s in word_sets)))
+    return cell.positive if all(s in word_sets for s in chambers) else 0
+
+
+def naive_realized_code(code, closed=False):
+    """The realized code read off ``enumerate_cells`` one cell at a time.
+
+    Builds the word set in cell order, so it is laid out exactly as the
+    package's reader must lay it out.
+    """
+    from convexcodes.complexes import Code
+    from convexcodes.realization import enumerate_cells
+
+    word_sets = {to_set(w) for w in code.words}
+    cells = enumerate_cells(code.ambient_n)
+    return Code(code.ambient_n, frozenset(
+        w for cell in cells if (w := naive_cell_word(word_sets, cell, closed))))
 
 
 def recursive_dfs(state, mode, budget, table, counters, memoize=True):

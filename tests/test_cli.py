@@ -12,7 +12,8 @@ import pytest
 from convexcodes import cli
 from convexcodes.cli import run
 from convexcodes.errors import InternalInconsistency
-from convexcodes.fileformat import parse_code, parse_complex
+from convexcodes.complexes import Code
+from convexcodes.fileformat import emit_code, parse_code, parse_complex
 
 
 @pytest.fixture(scope="module")
@@ -220,10 +221,28 @@ def test_generate_unwritable_output_exits_73(capsys, tmp_path):
 
 
 def test_goodcover_beyond_the_order_complex_limit(capsys, tmp_path):
-    path = tmp_path / "c8.code"
-    path.write_text("".join(f"{w:08b}\n" for w in range(255)))
+    # c_n(9) without the word 1: the missing face 1 has 254 codewords above it
+    path = tmp_path / "c9-missing-1.code"
+    path.write_text(emit_code(Code(9, frozenset(range(511)) - {1})))
     assert run(["goodcover", str(path)]) == 65
-    assert capsys.readouterr().err.startswith("error: 127 codewords contain the face 1,")
+    assert capsys.readouterr().err.startswith("error: 254 codewords contain the face 1,")
+
+
+def test_goodcover_codeword_faces_need_no_order_complex(capsys, tmp_path):
+    # every face of c_n(8) is a codeword, some with 127 codewords above them
+    path = tmp_path / "c8.code"
+    assert run(["generate", "c-n", "8", "-o", str(path)]) == 0
+    assert run(["goodcover", "--strict", str(path)]) == 0
+    assert "good_cover: Yes [all-regions-verified]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(set(cli._INSTANCES) - {"c-n", "cone-minus-apex"}))
+def test_generate_stray_argument_is_a_usage_error(capsys, tmp_path, name):
+    out = tmp_path / "f"
+    assert run(["generate", name, "bogus", "-o", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err == f"generate: {name} takes no argument, not 'bogus'\n"
+    assert not out.exists()
 
 
 # The flags each analysis command reads; it takes no other.
@@ -239,14 +258,18 @@ TAKES = {
 FLAG_VALUES = {"--budget": ["50"], "--seed": ["3"], "--primes": ["2,3"]}
 
 
-@pytest.mark.parametrize("command", sorted(TAKES))
-def test_each_command_takes_only_the_flags_it_reads(files, capsys, tmp_path, command):
+def _argv(files, tmp_path, command):
+    """The command on an input it answers without a usage error."""
     if command in ("collapse", "homology"):
         path = tmp_path / "collapsible.cx"
         path.write_text("123\n34\n")
-        argv = [command, str(path)]
-    else:
-        argv = [command, files["intro-code"]] + (["--face", "1"] if command == "links" else [])
+        return [command, str(path)]
+    return [command, files["intro-code"]] + (["--face", "1"] if command == "links" else [])
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_each_command_takes_only_the_flags_it_reads(files, capsys, tmp_path, command):
+    argv = _argv(files, tmp_path, command)
     for flag in sorted(set().union(*TAKES.values())):
         with_flag = argv + [flag] + FLAG_VALUES.get(flag, [])
         if flag in TAKES[command]:
@@ -256,6 +279,17 @@ def test_each_command_takes_only_the_flags_it_reads(files, capsys, tmp_path, com
                 run(with_flag)
             assert e.value.code == 64, flag
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(c for c in TAKES if "--budget" in TAKES[c]))
+def test_budget_must_be_a_node_count(files, capsys, tmp_path, command):
+    argv = _argv(files, tmp_path, command)
+    for bad in ("-3", "-1", "x"):
+        with pytest.raises(SystemExit) as e:
+            run(argv + ["--budget", bad])
+        assert e.value.code == 64, bad
+        assert "--budget" in capsys.readouterr().err
+    assert run(argv + ["--budget", "0"]) == 0
 
 
 def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@
 import pytest
 
 from convexcodes import realization
+from convexcodes.collapse import Budget
 from convexcodes.complexes import Code, closure, face_of, order_complex
 from convexcodes.errors import EmptyInput, EmptyRegion, TooLarge
 from convexcodes.instances import (
@@ -71,8 +72,41 @@ def test_v_region_too_large_for_an_order_complex(monkeypatch):
         raise AssertionError("the order complex was built")
 
     monkeypatch.setattr(realization, "order_complex", unbuilt)
-    with pytest.raises(TooLarge, match="127 codewords contain the face 1,"):
-        good_cover_check(c_n(8))
+    # c_n(9) without the word 1: face 1 is missing from the code and 254
+    # codewords contain it
+    missing_1 = Code(9, frozenset(range(511)) - {1})
+    with pytest.raises(TooLarge, match="254 codewords contain the face 1,"):
+        good_cover_check(missing_1)
+
+
+def test_codeword_faces_are_cones_without_an_order_complex(monkeypatch):
+    def unbuilt(faces):
+        raise AssertionError("the order complex was built")
+
+    monkeypatch.setattr(realization, "order_complex", unbuilt)
+    # every nonempty face of c_n(8) is a codeword, the singletons with 127
+    # codewords above them, more than an order complex may have
+    st = good_cover_check(c_n(8))
+    assert st.value is Verdict.YES and st.reason == R_ALL_REGIONS
+
+
+def test_order_complex_once_per_upset_of_a_missing_face(monkeypatch):
+    built = []
+
+    def counting(faces):
+        built.append(frozenset(faces))
+        return order_complex(faces)
+
+    monkeypatch.setattr(realization, "order_complex", counting)
+    for code in all_codes(3):
+        built.clear()
+        st = good_cover_check(code)
+        missing = [t for t in closure(code).faces() if t and t not in code.words]
+        upsets = {frozenset(w for w in code.words if t & ~w == 0) for t in missing}
+        assert len(built) == len(set(built)), code
+        assert set(built) <= upsets, code
+        if st.is_yes:
+            assert set(built) == upsets, code
 
 
 def test_enumerate_cells_small():
@@ -173,6 +207,38 @@ def test_good_cover_matches_locally_good_small():
         b = good_cover_check(code)
         assert a.value is not Verdict.UNKNOWN
         assert a.value is b.value
+
+
+def _parity_corpus():
+    yield from all_codes(3)
+    yield from (code for i, code in enumerate(all_codes(4)) if i % 8 == 0)
+    for n in (5, 6):
+        for seed in range(60):
+            yield random_code(n, seed)
+
+
+def test_good_cover_matches_the_per_face_reference():
+    for code in _parity_corpus():
+        for budget in (Budget(), Budget(nodes=3)):
+            want = oracles.naive_good_cover(code, budget)
+            assert repr(good_cover_check(code, budget)) == repr(want), code
+
+
+def test_realized_codes_match_the_cell_by_cell_reference():
+    for code in _parity_corpus():
+        assert repr(realized_code_from_U(code)) == repr(oracles.naive_realized_code(code)), code
+        assert (repr(realized_code_from_closures(code))
+                == repr(oracles.naive_realized_code(code, closed=True))), code
+
+
+def test_realized_words_at_cells_match_the_definition():
+    cells = list(enumerate_cells(3))
+    for code in all_codes(3):
+        word_sets = {oracles.to_set(w) for w in code.words}
+        for cell in cells:
+            assert realized_word_at(code, cell) == oracles.naive_cell_word(word_sets, cell)
+            assert (realized_word_at_closed(code, cell)
+                    == oracles.naive_cell_word(word_sets, cell, closed=True))
 
 
 def test_ambient_one_neuron():

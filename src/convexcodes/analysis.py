@@ -10,11 +10,11 @@ here is decided at the level of links inside the code's complex:
   intersections of maximal codewords (any face outside that family has a
   cone link, so it can never obstruct);
 * a code is locally great when every missing face has a collapsible link,
-  a strictly stronger, fully decidable demand.  Every missing face is
-  walked, but only facet intersections need checking, for the same
-  reason: a cone is collapsible.  Nor is a link searched when nonzero
-  Betti numbers already proved it not contractible; such a No reports
-  ``nodes_explored`` 0.
+  a strictly stronger, fully decidable demand.  Only the missing facet
+  intersections are walked, for the same reason: every other face has a
+  cone link, and a cone is collapsible.  Nor is a link searched when
+  nonzero Betti numbers already proved it not contractible; such a No
+  reports ``nodes_explored`` 0.
 
 Both verdicts and the mandatory codewords are read off one link table per
 code: each facet intersection with its link and the link's
@@ -56,6 +56,7 @@ from .verdicts import (
     R_NONZERO_BETTI,
     R_NOT_COLLAPSIBLE,
     R_TREE_TEST,
+    R_VACUOUS,
     TriStatus,
     Verdict,
     for_all,
@@ -202,6 +203,23 @@ def facet_intersections(cx: SimplicialComplex) -> frozenset[int]:
     return frozenset(members)
 
 
+def _has_every_face(words: frozenset[int]) -> bool:
+    """Is every nonempty face of the code's complex a codeword?
+
+    It is exactly when every nonempty face one label smaller than a word
+    is a word too: then, by induction on size, so is every nonempty
+    subface.
+    """
+    for w in words:
+        rest = w
+        while rest:
+            low = rest & -rest
+            if w != low and w ^ low not in words:
+                return False
+            rest ^= low
+    return True
+
+
 def _check_code(code: Code) -> SimplicialComplex:
     if not code.words:
         raise EmptyInput("the code has no words")
@@ -257,15 +275,18 @@ class _LinkTable:
 
     def locally_great(self) -> TriStatus:
         words = self.code.words
-        missing = (sigma for sigma in self.cx.faces() if sigma and sigma not in words)
-        return for_all(((sigma, self._collapsibility(sigma)) for sigma in missing), R_ALL_LINKS)
+        st = for_all(
+            ((sigma, self._collapsibility(sigma)) for sigma in self.links if sigma not in words),
+            R_ALL_LINKS,
+        )
+        if st.reason == R_VACUOUS and not _has_every_face(words):
+            # faces are missing, but none is a facet intersection, so
+            # each has a cone link
+            return TriStatus(Verdict.YES, R_ALL_LINKS)
+        return st
 
     def _collapsibility(self, sigma: int) -> TriStatus:
         """Is the link of sigma collapsible?  Searches only when the ladder did not settle it."""
-        if sigma not in self.links:
-            # sigma is strictly inside the intersection of the facets
-            # containing it, so its link is a cone over any vertex of the gap
-            return TriStatus(Verdict.YES, R_CONE_APEX)
         lk, st = self.entry(sigma)
         if st.reason in _COLLAPSE_EXACT_RUNGS:
             value, nodes = st.value, 0
@@ -316,16 +337,20 @@ def is_locally_great(
     """Does every face missing from the code have a collapsible link?
 
     Quantifies over all nonempty faces of the complex outside the code,
-    but checks only facet intersections: any other face has a cone link,
-    which is collapsible.  A link the contractibility ladder settled by a
-    tree test, cone apex, nonzero Betti number or collapse certificate
-    keeps that verdict; the rest get the exhaustive search.  Within budget
-    every answer is Yes or No; No carries the witness face and, as
-    ``nodes_explored``, the node count of the search that decided its link
-    in this run (0 when a tree test or nonzero Betti numbers decided it, or
-    after a memo hit).  Faces are walked in (size, mask) order, each link
-    decided and, if need be, searched as it is reached, and the walk stops
-    at the first No.
+    but walks only the facet intersections among them, in (size, mask)
+    order: any other face has a cone link, which is collapsible, so no
+    face of the complex is enumerated.  A link the contractibility ladder
+    settled by a tree test, cone apex, nonzero Betti number or collapse
+    certificate keeps that verdict; the rest get the exhaustive search.
+    Within budget every answer is Yes or No; No carries the witness face
+    and, as ``nodes_explored``, the node count of the search that decided
+    its link in this run (0 when a tree test or nonzero Betti numbers
+    decided it, or after a memo hit).  Each link is decided and, if need
+    be, searched as it is reached, and the walk stops at the first No.
+    Yes carries ``all-links-verified`` when the code lacks some nonempty
+    face of its complex, and ``nothing-to-check`` otherwise; the code has
+    every such face exactly when, for each word, every nonempty face one
+    label smaller is a word too.
     """
     return _LinkTable(code, budget, DEFAULT_PRIMES).locally_great()
 

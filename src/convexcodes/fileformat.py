@@ -8,8 +8,8 @@ count.  Three token forms exist:
 * compact digit strings for labels up to 9: ``2345``;
 * fixed-width binary strings, one character per label: ``0111``.
 
-Every field is a run of ASCII decimal digits; anything else is a
-``ParseError`` naming the line.
+Every field is a run of ASCII decimal digits; anything else, and a line
+of separators alone, is a ``ParseError`` naming the line.
 
 The literal ``0`` or ``empty`` denotes the empty word in any file.  Binary
 and integer forms cannot be mixed within one file.  A lone multi-character
@@ -44,6 +44,8 @@ def _classify_token(line: str, lineno: int):
     if line.lower() in ("0", "empty"):
         return "empty", 0
     fields = line.replace(",", " ").split()
+    if not fields:
+        raise ParseError("no labels (write 0 for the empty word)", lineno)
     for tok in fields:
         # ASCII only: str.isdigit also holds for digits such as "²" that int() rejects
         if not (tok.isascii() and tok.isdigit()):

@@ -16,19 +16,21 @@ complex of the codewords above the intersection's label set is.  The
 closed-set variant of the construction is also provided because it is
 wrong in an instructive way: it can grow extra codewords.
 
-The good-cover check does no work whose answer is already known.  Call
-the codewords containing a label set tau its up-set; the order complex
-depends on tau through its up-set alone.  When tau is itself a codeword
-it is the least element of its up-set, so it lies on every maximal chain
-and the order complex is a cone: that region is contractible without
-building anything.  Every other face is decided once per distinct up-set,
-and faces sharing an up-set share the verdict.  The realized code is read
-off every cell, each handled as a ``(positive, zero)`` pair of int masks.
+Each cover intersection is decided by one rule.  Call the codewords
+containing a label set tau its up-set, and the AND of the up-set its meet.
+The meet contains tau and has the same up-set, so the region depends on
+tau only through the meet.  When the meet is a codeword it is the least
+element of the up-set, so it lies on every maximal chain and the order
+complex is a cone: the region is contractible without building anything.
+Otherwise the order complex decides it.  The realized code is read off
+every cell, each handled as a ``(positive, zero)`` pair of int masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import and_
 from typing import Iterator
 
 from .analysis import contractibility_status
@@ -68,6 +70,10 @@ class ArrangementCell:
         return f"({face_label(self.positive)}|{z})"
 
 
+def _upset(words: frozenset[int], tau: int) -> list[int]:
+    return [w for w in words if tau & ~w == 0]
+
+
 def v_region_contractibility(
     code: Code,
     tau: int,
@@ -78,19 +84,23 @@ def v_region_contractibility(
     """Is the cover-set intersection over tau contractible?
 
     The intersection deformation retracts to the order complex of the
-    codewords containing tau, so the question is settled there, exactly.
-    The answer depends on tau only through that set, its up-set, which is
-    why :func:`good_cover_check` asks once per distinct up-set.  When tau
-    is a codeword it is the least element of its up-set, so the order
-    complex is a cone; :func:`good_cover_check` settles such faces without
-    calling this function.  Raises TooLarge, before building the complex,
-    when more codewords contain tau than it has room for as vertices.
+    codewords containing tau, its up-set, so the question is settled
+    there, exactly.  When the meet of the up-set (the AND of its
+    codewords) is a codeword, it is the least element of the up-set, so
+    the order complex is a cone over it: the answer is Yes with reason
+    ``cone-apex`` and the meet as certificate, and no complex is built.
+    Otherwise the order complex is built and decided.  Raises TooLarge,
+    before building it, when more codewords contain tau than it has room
+    for as vertices.
     """
     if tau == 0:
         raise EmptyInput("tau must be a nonempty face")
-    pieces = frozenset(w for w in code.words if tau & ~w == 0)
+    pieces = _upset(code.words, tau)
     if not pieces:
         raise EmptyRegion(f"no codeword contains {face_label(tau)}")
+    meet = reduce(and_, pieces)
+    if meet in code.words:
+        return TriStatus(Verdict.YES, R_CONE_APEX, certificate=meet)
     if len(pieces) > MAX_VERTICES:
         raise TooLarge(
             f"{len(pieces)} codewords contain the face {face_label(tau)}, more than "
@@ -99,33 +109,38 @@ def v_region_contractibility(
     return contractibility_status(order_complex(pieces), budget, memo, primes)
 
 
-def _check_cell_ambient(n: int) -> None:
+def _walk_cells(n: int, visit) -> list:
+    """Call ``visit(positive, zero)`` on every cell of an n-label arrangement.
+
+    Returns the truthy results in (|zero|, positive, zero) order: the walk
+    runs through positive parts, then zero parts, in ascending order, and
+    the results are kept in one bucket per zero-part size.
+    """
     if n < 1:
         raise EmptyInput("need at least one label")
     if n > MAX_CELL_AMBIENT:
         raise TooLarge(f"cell enumeration is capped at {MAX_CELL_AMBIENT} labels")
+    full = (1 << n) - 1
+    by_zero_size = [[] for _ in range(n)]
+    for pos in range(1, full + 1):
+        rest = full ^ pos
+        z = 0
+        while True:
+            if r := visit(pos, z):
+                by_zero_size[z.bit_count()].append(r)
+            z = (z - rest) & rest  # the next subset of rest, ascending
+            if not z:
+                break
+    return [r for rs in by_zero_size for r in rs]
 
 
 def enumerate_cells(n: int) -> Iterator[ArrangementCell]:
-    """All 3^n - 2^n arrangement cells, by zero-part size then masks.
+    """All 3^n - 2^n arrangement cells, by zero-part size, then positive, then zero mask.
 
     A 1-label ambient space is a single point carrying the one cell
     ({1}, {}); the same enumeration covers it without special handling.
     """
-    _check_cell_ambient(n)
-    full = (1 << n) - 1
-    triples = []
-    for pos in range(1, full + 1):
-        rest = full ^ pos
-        z = rest
-        while True:
-            triples.append((z.bit_count(), pos, z))
-            if z == 0:
-                break
-            z = (z - 1) & rest
-    triples.sort()
-    for _, pos, z in triples:
-        yield ArrangementCell(pos, z)
+    yield from _walk_cells(n, ArrangementCell)
 
 
 def _open_word(words: frozenset[int], pos: int, zero: int) -> int:
@@ -175,22 +190,7 @@ def _realized_code(code: Code, word_at) -> Code:
     if not code.words:
         raise EmptyInput("the code has no words")
     n = code.ambient_n
-    _check_cell_ambient(n)
-    words = code.words
-    full = (1 << n) - 1
-    # Collected per zero-part size, so the words enter the frozenset in
-    # enumerate_cells order and it comes out laid out the same.
-    by_zero_size = [[] for _ in range(n)]
-    for pos in range(1, full + 1):
-        rest = full ^ pos
-        z = 0
-        while True:
-            if w := word_at(words, pos, z):
-                by_zero_size[z.bit_count()].append(w)
-            z = (z - rest) & rest  # the next subset of rest, ascending
-            if not z:
-                break
-    return Code(n, frozenset(w for ws in by_zero_size for w in ws))
+    return Code(n, frozenset(_walk_cells(n, partial(word_at, code.words))))
 
 
 def realized_code_from_U(code: Code) -> Code:
@@ -213,27 +213,23 @@ def good_cover_check(
     Walks every nonempty label set contained in some codeword, in (size,
     mask) order, and checks the contractibility of its cover intersection.
     Yes means the code is realized by a good cover; No carries the
-    offending label set.  A label set that is itself a codeword is the
-    least element of the codewords above it, so its region is a cone: it
-    gets Yes with reason ``cone-apex`` and itself as the apex, and no order
-    complex is built for it.  Every other label set is decided by
-    :func:`v_region_contractibility` once per distinct set of codewords
-    above it, and label sets with the same such set share the verdict.
-    All regions share one search memo.
+    offending label set.  A label set has the same codewords above it as
+    their meet (their AND), so the intersections are decided by
+    :func:`v_region_contractibility` once per distinct meet, at the first
+    label set with that meet, and label sets with the same meet share the
+    verdict.  All regions share one search memo.
     """
     if not code.words:
         raise EmptyInput("the code has no words")
     words = code.words
     memo = {}
-    by_upset: dict[frozenset[int], TriStatus] = {}
+    by_meet: dict[int, TriStatus] = {}
 
     def region(tau: int) -> TriStatus:
-        if tau in words:
-            return TriStatus(Verdict.YES, R_CONE_APEX, certificate=tau)
-        upset = frozenset(w for w in words if tau & ~w == 0)
-        st = by_upset.get(upset)
+        meet = reduce(and_, _upset(words, tau))
+        st = by_meet.get(meet)
         if st is None:
-            st = by_upset[upset] = v_region_contractibility(code, tau, budget, memo, primes)
+            st = by_meet[meet] = v_region_contractibility(code, tau, budget, memo, primes)
         return st
 
     checks = ((tau, region(tau)) for tau in closure(code).faces() if tau)

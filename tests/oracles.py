@@ -223,64 +223,69 @@ def naive_locally_great(code, budget=None):
 
 
 def naive_good_cover(code, budget=None, primes=(2, 3, 5)):
-    """The good-cover check with no shortcut: one order complex per face.
+    """The good-cover check from the definition: one order complex per face.
 
-    Decides the cover intersection over every nonempty face of the code's
-    complex, codewords included, by its own ``v_region_contractibility``
-    call, sharing only the search memo, and quantifies in (size, mask)
-    order.  The reference for the cone and up-set shortcuts of
-    ``convexcodes.realization.good_cover_check``.
+    The cover intersection over every nonempty face tau of the code's
+    complex, codewords included, is the order complex of the codewords
+    containing tau, decided by ``contractibility_status`` alone with only
+    the search memo shared; the faces are quantified in (size, mask)
+    order.  No cone rule and no sharing between faces: the reference for
+    both in ``convexcodes.realization``.
     """
+    from convexcodes.analysis import contractibility_status
     from convexcodes.collapse import Budget
-    from convexcodes.complexes import closure
-    from convexcodes.realization import v_region_contractibility
+    from convexcodes.complexes import closure, order_complex
     from convexcodes.verdicts import R_ALL_REGIONS, for_all
 
     budget = budget or Budget()
     memo = {}
-    checks = (
-        (tau, v_region_contractibility(code, tau, budget, memo, primes))
-        for tau in closure(code).faces()
-        if tau
-    )
-    return for_all(checks, R_ALL_REGIONS)
+
+    def region(tau):
+        upset = [w for w in code.words if tau & ~w == 0]
+        return contractibility_status(order_complex(upset), budget, memo, primes)
+
+    return for_all(((tau, region(tau)) for tau in closure(code).faces() if tau), R_ALL_REGIONS)
 
 
 @lru_cache(maxsize=4096)
-def _adjacent_chambers(cell):
+def _adjacent_chambers(positive, zero):
     """The label sets S with positive part P <= S <= P | Z, as frozensets."""
-    pos, zero = to_set(cell.positive), to_set(cell.zero)
+    pos, zero = to_set(positive), to_set(zero)
     return tuple(pos | frozenset(extra) for r in range(len(zero) + 1)
                  for extra in combinations(sorted(zero), r))
 
 
-def naive_cell_word(word_sets, cell, closed=False):
-    """The word a realization gives one cell, from the definition.
+def naive_cell_word(word_sets, positive, zero, closed=False):
+    """The word a realization gives the cell (positive, zero), from the definition.
 
     ``word_sets`` holds the codewords as frozensets of labels.  The open
     rule gives the cell's positive part when every adjacent chamber is a
     codeword and nothing otherwise; the closed rule gives the union of the
     adjacent chambers that are codewords.
     """
-    chambers = _adjacent_chambers(cell)
+    chambers = _adjacent_chambers(positive, zero)
     if closed:
         return to_mask(frozenset().union(*(s for s in chambers if s in word_sets)))
-    return cell.positive if all(s in word_sets for s in chambers) else 0
+    return positive if all(s in word_sets for s in chambers) else 0
 
 
 def naive_realized_code(code, closed=False):
-    """The realized code read off ``enumerate_cells`` one cell at a time.
+    """The realized code read off every cell (P, Z), one cell at a time.
 
-    Builds the word set in cell order, so it is laid out exactly as the
-    package's reader must lay it out.
+    The cells are listed here from the definition, P a nonempty label set
+    and Z a label set disjoint from it, and sorted by (|Z|, P, Z) as
+    masks, so the word set is built in the order, and laid out exactly
+    as, the package's reader must build it.
     """
     from convexcodes.complexes import Code
-    from convexcodes.realization import enumerate_cells
 
+    labels = range(1, code.ambient_n + 1)
+    subsets = [frozenset(c) for r in range(len(labels) + 1) for c in combinations(labels, r)]
+    cells = sorted((len(z), to_mask(p), to_mask(z)) for p in subsets if p
+                   for z in subsets if not p & z)
     word_sets = {to_set(w) for w in code.words}
-    cells = enumerate_cells(code.ambient_n)
     return Code(code.ambient_n, frozenset(
-        w for cell in cells if (w := naive_cell_word(word_sets, cell, closed))))
+        w for _, p, z in cells if (w := naive_cell_word(word_sets, p, z, closed))))
 
 
 def recursive_dfs(state, mode, budget, table, counters, memoize=True):

@@ -38,6 +38,7 @@ from convexcodes.instances import (
     two_edge_overlap_code,
 )
 from convexcodes.verdicts import (
+    R_ALL_LINKS,
     R_BUDGET,
     R_COLLAPSE_CERT,
     R_CONE_APEX,
@@ -246,6 +247,17 @@ def test_locally_great_vacuous():
     assert st.value is Verdict.YES and st.reason == R_VACUOUS
     st = is_locally_great(two_edge_overlap_code())
     assert st.value is Verdict.YES and st.reason != R_VACUOUS
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_locally_great_enumerates_no_face_of_a_wide_word(n):
+    # the full word is the only facet intersection and a codeword; every
+    # other nonempty face but 1 is missing, with a cone link
+    code = Code(n, frozenset({(1 << n) - 1, 1}))
+    t = time.perf_counter()
+    great = classify(code).locally_great
+    assert time.perf_counter() - t < 1
+    assert (great.value, great.reason) == (Verdict.YES, R_ALL_LINKS)
 
 
 def test_max_intersection_complete():

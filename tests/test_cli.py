@@ -332,6 +332,21 @@ def test_malformed_tokens_exit_65(capsys, tmp_path, text):
     assert capsys.readouterr().err.startswith("parse error: line 1: unreadable token")
 
 
+@pytest.mark.parametrize("command", ["classify", "mandatory", "goodcover", "realize-verify",
+                                     "collapse", "homology"])
+def test_separator_only_lines_exit_65(capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("12\n , \n")
+    assert run([command, str(bad)]) == 65
+    assert capsys.readouterr().err.startswith("parse error: line 2: no labels")
+
+
+@pytest.mark.parametrize("face", ["", ",", " , "])
+def test_links_face_without_labels_is_a_bad_face(files, capsys, face):
+    assert run(["links", "--face", face, files["intro-code"]]) == 65
+    assert capsys.readouterr().err.startswith("bad face: line 1: no labels")
+
+
 def test_undecodable_bytes_exit_65(capsys, tmp_path):
     bad = tmp_path / "bad.code"
     bad.write_bytes(b"12\n\xff\n")

@@ -1,9 +1,12 @@
 """The text format for codes and complexes: parsing, errors, round trips."""
 
+import random
+from functools import partial
+
 import pytest
 
 from convexcodes.complexes import Code, SimplicialComplex, face_of
-from convexcodes.errors import LabelOutOfRange, MixedNotation, ParseError
+from convexcodes.errors import ConvexCodesError, LabelOutOfRange, MixedNotation, ParseError
 from convexcodes.fileformat import (
     emit_code,
     emit_complex,
@@ -90,6 +93,30 @@ def test_malformed_tokens_are_parse_errors(text):
         parse_face(text.splitlines()[-1], 4)
 
 
+@pytest.mark.parametrize("text", [",", " , ", ",\t,", "1,,2\n,"])
+def test_separator_only_lines_are_parse_errors(text):
+    lineno = text.count("\n") + 1
+    with pytest.raises(ParseError, match=f"line {lineno}: no labels"):
+        parse_code(text)
+    with pytest.raises(ParseError, match=f"line {lineno}: no labels"):
+        parse_complex(text)
+    with pytest.raises(ParseError, match="no labels"):
+        parse_face(text.splitlines()[-1], 4)
+
+
+def test_short_texts_parse_or_raise_package_errors():
+    rng = random.Random(20)
+    alphabet = "0123456789 ,\t#ne=y\n"
+    parsers = [parse_code, parse_complex] + [partial(parse_face, n=n) for n in (0, 4, 12)]
+    for _ in range(20_000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        for parse in parsers:
+            try:
+                parse(text)
+            except ConvexCodesError:
+                pass
+
+
 def test_error_line_numbers_account_for_comments():
     with pytest.raises(ParseError, match="line 4"):
         parse_code("# header\nn=2\n\nbadtoken99\n")
@@ -141,3 +168,5 @@ def test_parse_face_tokens():
         parse_face("5", 4)
     with pytest.raises(ParseError):
         parse_face("zz", 4)
+    with pytest.raises(ParseError, match="no labels"):
+        parse_face("", 4)

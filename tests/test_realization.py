@@ -25,7 +25,7 @@ from convexcodes.realization import (
     realized_word_at_closed,
     v_region_contractibility,
 )
-from convexcodes.verdicts import R_ALL_REGIONS, R_TREE_TEST, Verdict
+from convexcodes.verdicts import R_ALL_REGIONS, R_CONE_APEX, R_TREE_TEST, Verdict
 
 from . import oracles
 
@@ -60,11 +60,22 @@ def test_v_region_examples():
         v_region_contractibility(broken_line_code(), F("12"))
 
 
+def test_v_region_cone_over_the_least_codeword():
+    # the missing face 1 lies below 12 and 123: 12 is the least of them
+    st = v_region_contractibility(Code(3, words("12", "123")), F("1"))
+    assert (st.value, st.reason, st.certificate) == (Verdict.YES, R_CONE_APEX, F("12"))
+    # a codeword face is its own least codeword
+    st = v_region_contractibility(broken_line_code(), F("23"))
+    assert (st.value, st.reason, st.certificate) == (Verdict.YES, R_CONE_APEX, F("23"))
+
+
 def test_v_region_too_large_for_an_order_complex(monkeypatch):
-    # 64 codewords contain label 1: the order complex fits, and the full
-    # word on top makes it a cone
-    above_1 = [w for w in range(1, 1 << 7) if w & 1]
-    assert v_region_contractibility(Code(7, frozenset(above_1)), F("1")).is_yes
+    # the words on 7 labels that contain label 1, except the word 1, and
+    # the full word on 8 labels: 64 codewords contain label 1 with no
+    # least one among them, so the order complex is built; it fits, and
+    # the full word on top makes it a cone
+    above_1 = [w for w in range(2, 1 << 7) if w & 1] + [0b11111111]
+    assert v_region_contractibility(Code(8, frozenset(above_1)), F("1")).is_yes
     with pytest.raises(TooLarge, match="65 codewords contain the face 1,"):
         v_region_contractibility(Code(8, frozenset(above_1 + [0b10000001])), F("1"))
 
@@ -73,7 +84,7 @@ def test_v_region_too_large_for_an_order_complex(monkeypatch):
 
     monkeypatch.setattr(realization, "order_complex", unbuilt)
     # c_n(9) without the word 1: face 1 is missing from the code and 254
-    # codewords contain it
+    # codewords contain it, the least of them being the face itself
     missing_1 = Code(9, frozenset(range(511)) - {1})
     with pytest.raises(TooLarge, match="254 codewords contain the face 1,"):
         good_cover_check(missing_1)
@@ -90,6 +101,27 @@ def test_codeword_faces_are_cones_without_an_order_complex(monkeypatch):
     assert st.value is Verdict.YES and st.reason == R_ALL_REGIONS
 
 
+def test_missing_faces_with_a_least_codeword_above_are_cones(monkeypatch):
+    from convexcodes.analysis import is_locally_good
+
+    # on 9 labels, every proper word that contains label 2 or omits label
+    # 1: the missing face 1 has 127 codewords above it, the least being 12
+    code = Code(9, frozenset(w for w in range(511) if w & 2 or not w & 1))
+    above_1 = frozenset(w for w in code.words if w & 1)
+    assert len(above_1) == 127 and min(above_1) == F("12")
+
+    def guarded(faces):
+        faces = frozenset(faces)
+        if faces == above_1:
+            raise AssertionError("the order complex of face 1 was built")
+        return order_complex(faces)
+
+    monkeypatch.setattr(realization, "order_complex", guarded)
+    st = good_cover_check(code)
+    assert st.value is Verdict.YES and st.reason == R_ALL_REGIONS
+    assert is_locally_good(code).is_yes
+
+
 def test_order_complex_once_per_upset_of_a_missing_face(monkeypatch):
     built = []
 
@@ -103,10 +135,12 @@ def test_order_complex_once_per_upset_of_a_missing_face(monkeypatch):
         st = good_cover_check(code)
         missing = [t for t in closure(code).faces() if t and t not in code.words]
         upsets = {frozenset(w for w in code.words if t & ~w == 0) for t in missing}
+        # an up-set with a least codeword is a cone and needs no complex
+        no_least = {u for u in upsets if not any(all(v & ~w == 0 for w in u) for v in u)}
         assert len(built) == len(set(built)), code
-        assert set(built) <= upsets, code
+        assert set(built) <= no_least, code
         if st.is_yes:
-            assert set(built) == upsets, code
+            assert set(built) == no_least, code
 
 
 def test_enumerate_cells_small():
@@ -236,9 +270,10 @@ def test_realized_words_at_cells_match_the_definition():
     for code in all_codes(3):
         word_sets = {oracles.to_set(w) for w in code.words}
         for cell in cells:
-            assert realized_word_at(code, cell) == oracles.naive_cell_word(word_sets, cell)
+            want = oracles.naive_cell_word(word_sets, cell.positive, cell.zero)
+            assert realized_word_at(code, cell) == want
             assert (realized_word_at_closed(code, cell)
-                    == oracles.naive_cell_word(word_sets, cell, closed=True))
+                    == oracles.naive_cell_word(word_sets, cell.positive, cell.zero, closed=True))
 
 
 def test_ambient_one_neuron():

@@ -23,9 +23,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator
 
-from .errors import EmptyInput, LabelOutOfRange, NotAFace, VertexInUse
+from .errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
 
 MAX_VERTICES = 64
+# Faces are enumerated only while the facets' subset counts sum to at most
+# this, so a complex with a wide facet is refused instead of filling memory.
+MAX_FACE_ENUMERATION = 1 << 20
 
 Face = int
 
@@ -170,9 +173,19 @@ class SimplicialComplex:
     _faces: ClassVar[tuple[Face, ...] | None] = None
 
     def _all_faces(self) -> tuple[Face, ...]:
-        """Every face in (size, mask) order, enumerated on first use."""
+        """Every face in (size, mask) order, enumerated on first use.
+
+        Raises TooLarge, before enumerating anything, when the facets have
+        more than ``MAX_FACE_ENUMERATION`` subsets counted with repeats.
+        """
         faces = self._faces
         if faces is None:
+            total = sum(1 << f.bit_count() for f in self.facets)
+            if total > MAX_FACE_ENUMERATION:
+                raise TooLarge(
+                    f"face enumeration is capped at 2^20 subsets summed over the "
+                    f"facets; this complex's facets have {total}"
+                )
             seen: set[Face] = set()
             for f in self.facets:
                 sub = f

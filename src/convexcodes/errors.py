@@ -38,7 +38,7 @@ class EmptyRegion(ConvexCodesError):
 
 
 class TooLarge(ConvexCodesError):
-    """The ambient dimension is beyond what cell enumeration supports."""
+    """An input is beyond a size limit: cells, faces, order complexes or instances."""
 
 
 class InternalInconsistency(ConvexCodesError):

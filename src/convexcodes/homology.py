@@ -14,6 +14,20 @@ column is a ``{row: entry}`` dict, eliminated against sparse pivot columns.
 
 Face order is pinned for reproducibility: within each dimension, masks
 ascend, and dimensions ascend across the complex.
+
+``reduced_betti`` builds its matrices on the strong-collapse core of the
+complex, not on the complex itself.  A vertex v is dominated when the
+meet (intersection) of the facets containing v holds a vertex other than
+v; deleting v leaves the maximal sets among the facets with v removed.
+Deleting dominated vertices until none is left gives the core.  Each
+deletion is a strong collapse, which is a sequence of elementary
+collapses (Barmak and Minian, "Strong homotopy types, nerves and
+collapses", DCG 2012), so the core has the homotopy type, and every
+reduced Betti number over every field, of the complex.  A core that is a
+single vertex has all-zero Betti numbers and needs no matrix.  The core's
+dimension can be smaller, so its Betti vector is padded with zeros up to
+the complex's dimension.  The core only shortens the computation: it is
+never a collapse certificate.
 """
 
 from __future__ import annotations
@@ -184,19 +198,65 @@ def rank_mod_p(mat: BoundaryMatrix) -> int:
     return len(pivots)
 
 
+def _strong_core(cx: SimplicialComplex) -> SimplicialComplex:
+    """The complex left after deleting dominated vertices until none remains.
+
+    Vertex v is dominated when the meet of the facets containing v holds
+    another vertex.  Deleting v keeps every facet without v, and ``f - v``
+    for each facet f with v unless a facet without v contains it (two
+    facets with v cannot, being incomparable).  Vertices are tried in
+    ascending order, pass after pass, so the core is reproducible.
+    """
+    facets = cx.facets
+    removed = True
+    while removed:
+        removed = False
+        support = 0
+        for f in facets:
+            support |= f
+        while support:
+            v = support & -support
+            support ^= v
+            meet = -1
+            for f in facets:
+                if f & v:
+                    meet &= f
+            if meet != v:
+                keep = [g for g in facets if not g & v]
+                facets = keep + [
+                    f ^ v for f in facets
+                    if f & v and not any((f ^ v) & ~g == 0 for g in keep)
+                ]
+                removed = True
+    return SimplicialComplex(cx.ambient_n, tuple(sorted(facets)))
+
+
 def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:
-    """Reduced Betti numbers of a nonvoid complex over F_p."""
+    """Reduced Betti numbers of a nonvoid complex over F_p.
+
+    The ranks are taken on the strong-collapse core of ``cx``: dominated
+    vertices, those whose facets all share some other vertex, are deleted
+    until none is left.  A strong collapse is a sequence of elementary
+    collapses, so the core has the Betti numbers of ``cx`` over every
+    field, and a core that is a single vertex needs no matrix at all.  The
+    core's vector is padded with zeros to ``cx.dimension() + 1`` entries,
+    the length the complex itself gives.
+    """
     if cx.is_void:
         raise VoidComplex("homology of the void complex is undefined")
     _check_prime(p)
     dim = cx.dimension()
     if dim < 0:
         return BettiVector(p, ())
-    counts = cx.f_vector()
-    ranks = [rank_mod_p(boundary_matrix(cx, k, p)) for k in range(dim + 1)]
+    core = _strong_core(cx)
+    if len(core.facets) == 1 and core.facets[0].bit_count() == 1:
+        return BettiVector(p, (0,) * (dim + 1))
+    core_dim = core.dimension()
+    counts = core.f_vector()
+    ranks = [rank_mod_p(boundary_matrix(core, k, p)) for k in range(core_dim + 1)]
     ranks.append(0)
-    betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
-    return BettiVector(p, betti)
+    betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(core_dim + 1))
+    return BettiVector(p, betti + (0,) * (dim - core_dim))
 
 
 def is_acyclic(cx: SimplicialComplex, primes=DEFAULT_PRIMES) -> bool:
@@ -204,6 +264,13 @@ def is_acyclic(cx: SimplicialComplex, primes=DEFAULT_PRIMES) -> bool:
 
     Acyclicity over a handful of primes is evidence, not proof, of
     contractibility; callers treat a True here as grounds for Unknown,
-    never for Yes.
+    never for Yes.  The empty-face complex is not acyclic: in the
+    augmented chain complex its empty face is a cycle that bounds nothing,
+    so its reduced Betti number in degree -1 is 1, though the vector
+    ``reduced_betti`` gives it, which starts at degree 0, is empty.
     """
+    if cx.is_void:
+        raise VoidComplex("homology of the void complex is undefined")
+    if cx.dimension() < 0:
+        return False
     return all(reduced_betti(cx, p).is_zero() for p in primes)

@@ -119,6 +119,24 @@ def reduced_betti(faces, p):
     return tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(dim + 1))
 
 
+def naive_reduced_betti(cx, p):
+    """Reduced Betti numbers over F_p with the package's matrices on the whole complex.
+
+    The reference for the strong-collapse core in
+    ``homology.reduced_betti``: every face of ``cx`` feeds
+    ``boundary_matrix`` and ``rank_mod_p``, with no vertex deleted.
+    Returns a ``BettiVector``.
+    """
+    from convexcodes.homology import BettiVector, boundary_matrix, rank_mod_p
+
+    dim = cx.dimension()
+    if dim < 0:
+        return BettiVector(p, ())
+    counts = cx.f_vector()
+    ranks = [rank_mod_p(boundary_matrix(cx, k, p)) for k in range(dim + 1)] + [0]
+    return BettiVector(p, tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1)))
+
+
 def euler_characteristic(faces):
     """Alternating-sum Euler characteristic, empty face not counted."""
     return sum((-1) ** (len(f) - 1) for f in faces if f)

@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -166,6 +167,16 @@ def test_homology_large_prime_finishes(files, capsys, tmp_path):
     assert "F_1000000000000000003: reduced betti (0, 1)" in capsys.readouterr().out
 
 
+def test_homology_of_a_wide_simplex_is_fast(capsys, tmp_path):
+    # 2^30 faces; the strong-collapse core is one vertex
+    path = tmp_path / "simplex30.cx"
+    path.write_text(" ".join(str(v) for v in range(1, 31)) + "\n")
+    start = time.perf_counter()
+    assert run(["homology", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    assert f"F_2: reduced betti {(0,) * 30}" in capsys.readouterr().out
+
+
 def test_realize_verify(files, capsys):
     assert run(["realize-verify", files["intro-code"]]) == 0
     out = capsys.readouterr().out
@@ -226,6 +237,17 @@ def test_goodcover_beyond_the_order_complex_limit(capsys, tmp_path):
     path.write_text(emit_code(Code(9, frozenset(range(511)) - {1})))
     assert run(["goodcover", str(path)]) == 65
     assert capsys.readouterr().err.startswith("error: 254 codewords contain the face 1,")
+
+
+def test_goodcover_beyond_the_face_enumeration_cap(capsys, tmp_path):
+    path = tmp_path / "wide.code"
+    path.write_text(emit_code(Code(40, frozenset({(1 << 40) - 1, 1}))))
+    start = time.perf_counter()
+    assert run(["goodcover", str(path)]) == 65
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: face enumeration is capped at 2^20")
+    assert err.count("\n") == 1
 
 
 def test_goodcover_codeword_faces_need_no_order_complex(capsys, tmp_path):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from convexcodes.complexes import (
+    MAX_FACE_ENUMERATION,
     Code,
     SimplicialComplex,
     closure,
@@ -19,8 +20,9 @@ from convexcodes.complexes import (
     restriction,
     simplex_faces,
 )
-from convexcodes.errors import EmptyInput, LabelOutOfRange, NotAFace, VertexInUse
+from convexcodes.errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
 from convexcodes.instances import (
+    c_n,
     counterexample_code,
     random_complex,
 )
@@ -117,6 +119,26 @@ def test_void_vs_empty_face_complex():
     assert void != empty
     assert void.dimension() == -1 and empty.dimension() == -1
     assert list(void.faces()) == [] and list(empty.faces()) == [0]
+
+
+def test_face_enumeration_cap():
+    assert MAX_FACE_ENUMERATION == 1 << 20
+    # c_n(16), the widest c_n instance: 16 facets of 15 vertices count
+    # 2^19 subsets, and its faces are every proper subset of 16 labels
+    widest = closure(c_n(16))
+    assert sum(1 << f.bit_count() for f in widest.facets) == 1 << 19
+    assert widest.num_faces() == (1 << 16) - 1
+    # one 21-vertex facet, or two 20-vertex ones, count 2^21 subsets
+    wide = [SimplicialComplex(21, ((1 << 21) - 1,)),
+            SimplicialComplex(21, ((1 << 20) - 1, (1 << 21) - 2))]
+    for cx in wide:
+        for enumerate_faces in (cx.faces, cx.f_vector, cx.num_faces,
+                                lambda: cx.faces_of_dim(0)):
+            with pytest.raises(TooLarge, match=r"capped at 2\^20"):
+                enumerate_faces()
+    # the cap counts subsets of facets, not labels
+    edge_and_point = SimplicialComplex(40, (0b11, 1 << 39))
+    assert edge_and_point.f_vector() == (3, 1)
 
 
 def test_downward_closure_property():

@@ -18,15 +18,17 @@ from convexcodes.complexes import (
     face_of,
     simplex_faces,
 )
+from convexcodes import homology
 from convexcodes.errors import DimensionOutOfRange, VoidComplex
 from convexcodes.homology import (
     _check_prime,
+    _strong_core,
     boundary_matrix,
     is_acyclic,
     rank_mod_p,
     reduced_betti,
 )
-from convexcodes.instances import c_n, dunce_hat, random_complex, rp2
+from convexcodes.instances import all_facet_antichains, c_n, dunce_hat, random_complex, rp2
 
 from . import oracles
 
@@ -132,6 +134,52 @@ def test_void_complex_rejected():
 
 def test_empty_face_only_complex():
     assert reduced_betti(SimplicialComplex(2, (0,)), 2).betti == ()
+
+
+def test_empty_face_only_complex_is_not_acyclic():
+    # its empty face is a cycle in degree -1 that bounds nothing
+    empty = SimplicialComplex(1, (0,))
+    assert not is_acyclic(empty)
+    assert not is_acyclic(empty, (2,))
+    assert is_acyclic(SimplicialComplex(1, (1,)))
+
+
+def test_core_betti_matches_the_whole_complex():
+    complexes = [random_complex(n, seed) for n in (5, 6, 7) for seed in range(100)]
+    complexes += list(all_facet_antichains(4)) + [dunce_hat(), rp2()]
+    for cx in complexes:
+        if cx.is_void:
+            continue
+        for p in PRIMES + (7,):
+            assert reduced_betti(cx, p) == oracles.naive_reduced_betti(cx, p)
+
+
+def test_strongly_collapsible_complex_builds_no_matrix(monkeypatch):
+    # a strip of triangles 123, 234, 345, 456: no vertex lies in every
+    # facet, but 1 is dominated by 2, then 2 by 3, and so on to a point
+    strip = SimplicialComplex.from_facets(
+        6, [face_of(t) for t in ((1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6))])
+    common = strip.facets[0]
+    for f in strip.facets:
+        common &= f
+    assert common == 0
+
+    def unbuilt(cx, k, p):
+        raise AssertionError("a boundary matrix was built")
+
+    monkeypatch.setattr(homology, "boundary_matrix", unbuilt)
+    for p in PRIMES + (7,):
+        assert reduced_betti(strip, p) == homology.BettiVector(p, (0, 0, 0))
+    assert is_acyclic(strip, PRIMES)
+
+
+def test_simplex_boundary_is_its_own_core():
+    for k in range(2, 8):
+        sphere = SimplicialComplex.from_facets(
+            k + 1, [f for f in simplex_faces(range(1, k + 2)) if f.bit_count() == k])
+        assert _strong_core(sphere) == sphere
+        for p in PRIMES:
+            assert reduced_betti(sphere, p).betti == (0,) * (k - 1) + (1,)
 
 
 def test_betti_matches_reference_implementation():

@@ -90,6 +90,13 @@ def test_v_region_too_large_for_an_order_complex(monkeypatch):
         good_cover_check(missing_1)
 
 
+def test_good_cover_check_refuses_a_wide_word():
+    # the face enumeration of a 40-label word would hold 2^40 faces
+    code = Code(40, frozenset({(1 << 40) - 1, 1}))
+    with pytest.raises(TooLarge, match=r"capped at 2\^20"):
+        good_cover_check(code)
+
+
 def test_codeword_faces_are_cones_without_an_order_complex(monkeypatch):
     def unbuilt(faces):
         raise AssertionError("the order complex was built")

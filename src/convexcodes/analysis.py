@@ -17,11 +17,13 @@ here is decided at the level of links inside the code's complex:
   reports ``nodes_explored`` 0.
 
 Both verdicts and the mandatory codewords are read off one link table per
-code: each facet intersection with its link and the link's
-contractibility verdict, each built once, on first read, and sharing one
-memo.  That memo holds the search's states and the Betti numbers of each
-link shape, so links that differ only by an order-preserving relabel of
-their vertices share one homology computation.
+code: each facet intersection with its link's contractibility verdict,
+decided on first read.  Links that differ only by an order-preserving
+relabel of their vertices have one shape, and the table decides each
+shape once: a later link of a known shape takes the stored verdict
+without being built.  Only links that need the collapse search are built
+and decided one by one, sharing one memo of the search's states and of
+the Betti numbers of each shape.
 
 Contractibility itself is semidecidable, so the checker climbs a ladder of
 exact special cases (graphs, cones), then homology, then collapsibility,
@@ -71,27 +73,33 @@ IMPLICATION_NOTES = (
 )
 
 
-def _graph_summary(cx: SimplicialComplex) -> dict:
-    """Vertex, edge, and component counts of a complex of dimension <= 1."""
-    faces = list(cx.faces())
-    verts = [f for f in faces if f.bit_count() == 1]
-    edges = [f for f in faces if f.bit_count() == 2]
-    parent = {v: v for v in verts}
+def _graph_summary(facets: tuple[int, ...]) -> dict:
+    """Vertex, edge, and component counts of a complex of dimension <= 1.
+
+    Read off the facets alone: every edge of such a complex is a facet,
+    and its vertices are the bits of the support.
+    """
+    support = 0
+    for f in facets:
+        support |= f
+    parent = {}  # non-root vertex bit -> its parent
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while x in parent:
             x = parent[x]
         return x
 
-    for e in edges:
-        lo = e & -e
-        hi = e ^ lo
-        a, b = find(lo), find(hi)
-        if a != b:
-            parent[a] = b
-    components = len({find(v) for v in verts})
-    return {"vertices": len(verts), "edges": len(edges), "components": components}
+    edges = merges = 0
+    for e in facets:
+        if e.bit_count() == 2:
+            edges += 1
+            lo = e & -e
+            a, b = find(lo), find(e ^ lo)
+            if a != b:
+                parent[a] = b
+                merges += 1
+    vertices = support.bit_count()
+    return {"vertices": vertices, "edges": edges, "components": vertices - merges}
 
 
 # Tag of the Betti entries in a shared memo; the search's keys are
@@ -99,30 +107,28 @@ def _graph_summary(cx: SimplicialComplex) -> dict:
 _BETTI = "betti"
 
 
-def _shape(cx: SimplicialComplex) -> tuple[int, ...]:
+def _shape(facets: tuple[int, ...]) -> tuple[int, ...]:
     """The facets after an order-preserving relabel of the support to bits 0..k-1.
 
     A relabel that keeps the vertex order keeps the facets sorted, so two
     complexes have the same shape exactly when one is such a relabel of
-    the other.
+    the other.  Each run of consecutive support bits moves down as a block.
     """
     support = 0
-    for f in cx.facets:
+    for f in facets:
         support |= f
-    bit = {}
+    runs = []
+    width = 0
     while support:
         low = support & -support
-        bit[low] = 1 << len(bit)
-        support ^= low
-    shape = []
-    for f in cx.facets:
-        g = 0
-        while f:
-            low = f & -f
-            g |= bit[low]
-            f ^= low
-        shape.append(g)
-    return tuple(shape)
+        run = support & ~(support + low)
+        runs.append((run, low.bit_length() - 1 - width))
+        width += run.bit_count()
+        support ^= run
+    if len(runs) == 1:
+        run, shift = runs[0]
+        return tuple(f >> shift for f in facets)
+    return tuple(sum((f & run) >> shift for run, shift in runs) for f in facets)
 
 
 def contractibility_status(
@@ -153,7 +159,7 @@ def contractibility_status(
     if cx.is_void:
         raise VoidComplex("contractibility of the void complex is undefined")
     if cx.dimension() <= 1:
-        g = _graph_summary(cx)
+        g = _graph_summary(cx.facets)
         is_tree = (
             g["vertices"] >= 1
             and g["components"] == 1
@@ -168,7 +174,7 @@ def contractibility_status(
         apex = common & -common
         return TriStatus(Verdict.YES, R_CONE_APEX, certificate=apex)
     memo = {} if memo is None else memo
-    shape = _shape(cx)
+    shape = _shape(cx.facets)
     for p in primes:
         key = (_BETTI, p, shape)
         bv = memo.get(key)
@@ -233,15 +239,30 @@ def _check_code(code: Code) -> SimplicialComplex:
 _COLLAPSE_EXACT_RUNGS = (R_TREE_TEST, R_CONE_APEX, R_COLLAPSE_CERT, R_NONZERO_BETTI)
 
 
+# Ladder rungs whose status is a function of the link's shape alone: a
+# graph's counts and a Betti vector carry no labels.  A search's node count
+# depends on the memo it shares, so its statuses are never reused by shape.
+# No facet-intersection link is a cone: a vertex in every facet containing
+# sigma lies in the intersection of those facets, which is sigma itself.
+_SHAPE_RUNGS = (R_TREE_TEST, R_NONZERO_BETTI)
+
+
 class _LinkTable:
     """Each facet intersection of a code's complex with its link and verdict.
 
     ``links`` has every facet intersection as a key, in (size, mask) order.
-    A link is built and decided on its first read, through :meth:`entry`,
-    and kept as the key's ``(link, status)`` value, so one table serves the
-    mandatory words, local goodness, local greatness and max-intersection
+    A link is decided on its first read, through :meth:`entry`, and kept as
+    the key's ``(link, status)`` value, so one table serves the mandatory
+    words, local goodness, local greatness and max-intersection
     completeness of one code.  A quantifier that stops at its first No
     leaves the links after it undecided.
+
+    The status is decided once per link shape: the shape is read off the
+    facets containing sigma, and a link whose shape already has a tree-test
+    or nonzero-Betti status takes a copy of it, with ``None`` for the link,
+    which is built only on a shape miss.  A link that reaches the collapse
+    search is built and decided on its own, since its node count depends
+    on the shared memo.
     """
 
     def __init__(self, code: Code, budget: Budget, primes):
@@ -249,15 +270,29 @@ class _LinkTable:
         self.cx = _check_code(code)
         self.budget = budget
         self.memo = {}
+        self.by_shape = {}
         self.primes = primes
         self.links = dict.fromkeys(sorted(facet_intersections(self.cx), key=_face_sort_key))
 
-    def entry(self, sigma: int) -> tuple[SimplicialComplex, TriStatus]:
+    def entry(self, sigma: int) -> tuple[SimplicialComplex | None, TriStatus]:
         entry = self.links[sigma]
         if entry is None:
-            lk = link(self.cx, sigma)
-            entry = (lk, contractibility_status(lk, self.budget, self.memo, self.primes))
-            self.links[sigma] = entry
+            # the link's facets, in mask order: removing sigma's bits from
+            # its supersets keeps their order
+            facets = tuple(f ^ sigma for f in self.cx.facets if f & sigma == sigma)
+            shape = _shape(facets)
+            st = self.by_shape.get(shape)
+            if st is None:
+                lk = link(self.cx, sigma)
+                st = contractibility_status(lk, self.budget, self.memo, self.primes)
+                if st.reason in _SHAPE_RUNGS:
+                    self.by_shape[shape] = st
+            else:
+                lk = None
+                if st.reason == R_TREE_TEST:
+                    # each link owns its certificate dict; a BettiVector is frozen
+                    st = TriStatus(st.value, st.reason, certificate=dict(st.certificate))
+            entry = self.links[sigma] = (lk, st)
         return entry
 
     def mandatory(self) -> tuple[frozenset[int], frozenset[int]]:

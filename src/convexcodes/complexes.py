@@ -167,10 +167,12 @@ class SimplicialComplex:
     def __contains__(self, mask: Face) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
 
-    # Lazy cache, filled at most once per instance.  It is a plain class
-    # attribute, not a dataclass field, so equality, hashing and repr
-    # ignore it.
+    # Lazy caches, filled together at most once per instance.  They are
+    # plain class attributes, not dataclass fields, so equality, hashing
+    # and repr ignore them.  ``_offsets[s]`` is the index in ``_faces`` of
+    # the first face of size s, for s = 0..(largest facet size + 1).
     _faces: ClassVar[tuple[Face, ...] | None] = None
+    _offsets: ClassVar[tuple[int, ...] | None] = None
 
     def _all_faces(self) -> tuple[Face, ...]:
         """Every face in (size, mask) order, enumerated on first use.
@@ -195,12 +197,19 @@ class SimplicialComplex:
                         break
                     sub = (sub - 1) & f
             faces = tuple(sorted(sorted(seen), key=int.bit_count))
+            offsets = tuple(
+                bisect_left(faces, size, key=int.bit_count)
+                for size in range(self.dimension() + 3)
+            )
             object.__setattr__(self, "_faces", faces)
+            object.__setattr__(self, "_offsets", offsets)
         return faces
 
     def _size_offset(self, size: int) -> int:
         """Index in the face order of the first face of at least this size."""
-        return bisect_left(self._all_faces(), size, key=int.bit_count)
+        self._all_faces()
+        offsets = self._offsets
+        return offsets[min(max(size, 0), len(offsets) - 1)]
 
     def faces(self) -> Iterator[Face]:
         """All faces, the empty face included, in (size, mask) order."""
@@ -215,7 +224,8 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts of faces per dimension 0..dim; the empty face is not counted."""
-        offsets = [self._size_offset(s) for s in range(1, self.dimension() + 3)]
+        self._all_faces()
+        offsets = self._offsets[1:]
         return tuple(b - a for a, b in zip(offsets, offsets[1:]))
 
     def vertices(self) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import pytest
 
 from convexcodes.analysis import (
     AnalysisReport,
+    _shape,
     classify,
     cone_minus_apex,
     contractibility_status,
@@ -320,17 +321,51 @@ def test_classify_two_edge_overlap():
     assert rep.locally_good.value is Verdict.YES
 
 
-def test_classify_builds_and_decides_each_link_once(monkeypatch):
+def built_links(cx, sigmas):
+    """The faces, in walk order, whose links a link table builds and decides.
+
+    A link is built when no earlier link had its shape, or when the
+    collapse search decides it; a tree test or nonzero Betti numbers
+    decide every later link of the same shape with no link built.
+    """
+    shapes, built = set(), []
+    for sigma in sigmas:
+        lk = link(cx, sigma)
+        shape = _shape(lk.facets)
+        searched = contractibility_status(lk).reason not in (R_TREE_TEST, R_NONZERO_BETTI)
+        if searched or shape not in shapes:
+            built.append(sigma)
+            if not searched:
+                shapes.add(shape)
+    return built
+
+
+def twin_search_code():
+    """Two facet-intersection links of one shape that only the search decides.
+
+    The links of 1 and of 9 are each a path of three triangles: acyclic,
+    not a cone, so each needs its own collapse certificate on its own labels.
+    """
+    path = ["234", "456", "678"]
+    words = [face_of([1, *map(int, t)]) for t in path]
+    words += [face_of([9] + [int(c) + 8 for c in t]) for t in path]
+    return Code(16, frozenset(words))
+
+
+def test_classify_builds_and_decides_each_link_shape_once(monkeypatch):
     from convexcodes import analysis
 
     counted = ("closure", "facet_intersections", "link", "contractibility_status",
                "is_collapsible")
-    codes = [counterexample_code(), cone_minus_apex(dunce_hat())]
+    codes = [counterexample_code(), cone_minus_apex(dunce_hat()), c_n(7), twin_search_code()]
     codes += [random_code(6, seed) for seed in range(4)]
+    repeats = 0
     for code in codes:
         cx = closure(code)
         fi = facet_intersections(cx)
         fi_links = {link(cx, sigma) for sigma in fi}
+        built = built_links(cx, sorted(fi, key=lambda f: (f.bit_count(), f)))
+        repeats += len(fi) - len(built)
         calls = {name: [] for name in counted}
         with monkeypatch.context() as m:
             for name in counted:
@@ -342,10 +377,40 @@ def test_classify_builds_and_decides_each_link_once(monkeypatch):
             analysis.classify(code)
         assert len(calls["closure"]) == 1
         assert len(calls["facet_intersections"]) == 1
-        assert sorted(args[1] for args in calls["link"]) == sorted(fi)
-        assert len(calls["contractibility_status"]) == len(fi)
+        assert [args[1] for args in calls["link"]] == built
+        assert [args[0] for args in calls["contractibility_status"]] == [
+            link(cx, sigma) for sigma in built
+        ]
         # no search on a link outside the facet intersections: those are cones
         assert all(args[0] in fi_links for args in calls["is_collapsible"])
+    assert repeats > 0
+
+
+def test_link_table_matches_fresh_status_per_link():
+    from convexcodes.analysis import _LinkTable
+    from convexcodes.homology import DEFAULT_PRIMES
+    from convexcodes.instances import all_codes
+
+    codes = list(all_codes(4)) + [random_code(n, s) for n in (5, 6) for s in range(50)]
+    codes.append(twin_search_code())
+    hits = 0
+    for code in codes:
+        table = _LinkTable(code, Budget(), DEFAULT_PRIMES)
+        memo = {}
+        certificates = []
+        for sigma in table.links:
+            lk, st = table.entry(sigma)
+            fresh = contractibility_status(link(table.cx, sigma), Budget(), memo)
+            assert st == fresh, (code, sigma)
+            hits += lk is None
+            # a vertex in every facet containing a facet intersection lies in
+            # the intersection itself, so no such link is a cone
+            assert fresh.reason != R_CONE_APEX
+            if st.reason == R_TREE_TEST:
+                certificates.append(st.certificate)
+        # each link owns its graph summary, even when its shape was known
+        assert len({id(c) for c in certificates}) == len(certificates)
+    assert hits > 0
 
 
 def test_chain_consistency():
@@ -473,6 +538,10 @@ def test_standalone_quantifiers_stop_early(monkeypatch):
         st = check(code)
         assert st.value is Verdict.NO and st.witness == F("1")
         assert len(calls) == 1
+    # one call per link shape: each size of sigma is one sphere
     calls.clear()
     found, _ = mandatory_codewords(code)
-    assert len(calls) == len(facet_intersections(closure(code))) and F("6") in found
+    cx = closure(code)
+    fi = sorted(facet_intersections(cx), key=lambda f: (f.bit_count(), f))
+    assert calls == [link(cx, sigma) for sigma in built_links(cx, fi)]
+    assert len(calls) == 5 and F("6") in found

@@ -117,7 +117,7 @@ def _shape(facets: tuple[int, ...]) -> tuple[int, ...]:
     support = 0
     for f in facets:
         support |= f
-    runs = []
+    runs = []  # (bits of one run, how far the run moves down)
     width = 0
     while support:
         low = support & -support
@@ -125,10 +125,13 @@ def _shape(facets: tuple[int, ...]) -> tuple[int, ...]:
         runs.append((run, low.bit_length() - 1 - width))
         width += run.bit_count()
         support ^= run
-    if len(runs) == 1:
-        run, shift = runs[0]
-        return tuple(f >> shift for f in facets)
-    return tuple(sum((f & run) >> shift for run, shift in runs) for f in facets)
+    shape = []
+    for f in facets:
+        g = 0
+        for run, shift in runs:
+            g |= (f & run) >> shift
+        shape.append(g)
+    return tuple(shape)
 
 
 def contractibility_status(

@@ -322,14 +322,14 @@ def test_classify_two_edge_overlap():
 
 
 def built_links(cx, sigmas):
-    """The faces, in walk order, whose links a link table builds and decides.
+    """The faces whose links a link table builds and decides, in (size, mask) order.
 
     A link is built when no earlier link had its shape, or when the
     collapse search decides it; a tree test or nonzero Betti numbers
     decide every later link of the same shape with no link built.
     """
     shapes, built = set(), []
-    for sigma in sigmas:
+    for sigma in sorted(sigmas, key=lambda f: (f.bit_count(), f)):
         lk = link(cx, sigma)
         shape = _shape(lk.facets)
         searched = contractibility_status(lk).reason not in (R_TREE_TEST, R_NONZERO_BETTI)
@@ -346,9 +346,8 @@ def twin_search_code():
     The links of 1 and of 9 are each a path of three triangles: acyclic,
     not a cone, so each needs its own collapse certificate on its own labels.
     """
-    path = ["234", "456", "678"]
-    words = [face_of([1, *map(int, t)]) for t in path]
-    words += [face_of([9] + [int(c) + 8 for c in t]) for t in path]
+    path = [(2, 3, 4), (4, 5, 6), (6, 7, 8)]
+    words = [face_of((1, *t)) for t in path] + [face_of((9, *(v + 8 for v in t))) for t in path]
     return Code(16, frozenset(words))
 
 
@@ -364,7 +363,7 @@ def test_classify_builds_and_decides_each_link_shape_once(monkeypatch):
         cx = closure(code)
         fi = facet_intersections(cx)
         fi_links = {link(cx, sigma) for sigma in fi}
-        built = built_links(cx, sorted(fi, key=lambda f: (f.bit_count(), f)))
+        built = built_links(cx, fi)
         repeats += len(fi) - len(built)
         calls = {name: [] for name in counted}
         with monkeypatch.context() as m:
@@ -542,6 +541,5 @@ def test_standalone_quantifiers_stop_early(monkeypatch):
     calls.clear()
     found, _ = mandatory_codewords(code)
     cx = closure(code)
-    fi = sorted(facet_intersections(cx), key=lambda f: (f.bit_count(), f))
-    assert calls == [link(cx, sigma) for sigma in built_links(cx, fi)]
+    assert calls == [link(cx, sigma) for sigma in built_links(cx, facet_intersections(cx))]
     assert len(calls) == 5 and F("6") in found

@@ -36,6 +36,7 @@ neither contractible nor collapsible, so no search runs on such a link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .collapse import Budget, is_collapsible
 from .complexes import (
@@ -304,24 +305,32 @@ class _LinkTable:
         unknown = frozenset(sigma for sigma, st in statuses if st.is_unknown)
         return found, unknown
 
-    def locally_good(self) -> TriStatus:
-        words = self.code.words
-        return for_all(
-            ((sigma, self.entry(sigma)[1]) for sigma in self.links if sigma not in words),
-            R_ALL_LINKS,
-        )
+    @cached_property
+    def has_every_face(self) -> bool:
+        return _has_every_face(self.code.words)
 
-    def locally_great(self) -> TriStatus:
+    def _over_missing(self, status) -> TriStatus:
+        """``status(sigma)`` quantified over the facet intersections missing from the code.
+
+        Yes carries ``all-links-verified`` when the code lacks some
+        nonempty face of its complex, and ``nothing-to-check`` otherwise:
+        a missing face that is no facet intersection has a cone link, so
+        it is verified without being walked.
+        """
         words = self.code.words
         st = for_all(
-            ((sigma, self._collapsibility(sigma)) for sigma in self.links if sigma not in words),
+            ((sigma, status(sigma)) for sigma in self.links if sigma not in words),
             R_ALL_LINKS,
         )
-        if st.reason == R_VACUOUS and not _has_every_face(words):
-            # faces are missing, but none is a facet intersection, so
-            # each has a cone link
+        if st.reason == R_VACUOUS and not self.has_every_face:
             return TriStatus(Verdict.YES, R_ALL_LINKS)
         return st
+
+    def locally_good(self) -> TriStatus:
+        return self._over_missing(lambda sigma: self.entry(sigma)[1])
+
+    def locally_great(self) -> TriStatus:
+        return self._over_missing(self._collapsibility)
 
     def _collapsibility(self, sigma: int) -> TriStatus:
         """Is the link of sigma collapsible?  Searches only when the ladder did not settle it."""
@@ -363,7 +372,10 @@ def is_locally_good(
     Quantifies over facet intersections missing from the code; the empty
     word never matters.  No carries the first obstructing face in
     (size, mask) order as witness, with the link's own negative
-    certificate attached; no link after it is built or decided.
+    certificate attached; no link after it is built or decided.  Yes
+    carries ``all-links-verified`` when the code lacks some nonempty face
+    of its complex, and ``nothing-to-check`` otherwise, the same rule as
+    :func:`is_locally_great`.
     """
     return _LinkTable(code, budget, primes).locally_good()
 

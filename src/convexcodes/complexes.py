@@ -297,7 +297,12 @@ def order_complex(faces: Iterable[Face]) -> SimplicialComplex:
     The input faces become vertices 1..m, numbered by (size, mask); a set
     of vertices spans a face exactly when the corresponding input faces
     form a chain under inclusion.  The facets of the result are the
-    maximal chains, found by walking cover relations of the induced order.
+    maximal chains.  Each element's strict up- and down-sets are kept as
+    bit masks over the numbering, and j covers i when j is above i and
+    nothing below j is above i (``below[j] & above[i] == 0``).  Maximal
+    chains are grown along covers from the minimal elements to the
+    maximal ones; they are distinct and none contains another, so they
+    are the facets as they stand, sorted.
     """
     elems = sorted(set(faces), key=_face_sort_key)
     if not elems:
@@ -308,33 +313,35 @@ def order_complex(faces: Iterable[Face]) -> SimplicialComplex:
     if m > MAX_VERTICES:
         raise LabelOutOfRange(f"{m} input faces exceed the {MAX_VERTICES}-vertex limit")
 
-    below = [
-        [j for j in range(m) if j != i and elems[j] & ~elems[i] == 0]
-        for i in range(m)
-    ]
-    covers: list[list[int]] = [[] for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j or elems[i] & ~elems[j]:
-                continue
-            # j covers i when nothing fits strictly between them
-            if not any(k != i and elems[i] & ~elems[k] == 0 for k in below[j]):
-                covers[i].append(j)
+    # a strict superset is larger, so it comes later in the numbering
+    above = [0] * m
+    below = [0] * m
+    for i, a in enumerate(elems):
+        for j in range(i + 1, m):
+            if a & ~elems[j] == 0:
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    covers = []
+    for up in above:
+        cov = []
+        rest = up
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if not below[j] & up:
+                cov.append(j)
+            rest ^= low
+        covers.append(cov)
 
-    minimal = [i for i in range(m) if not below[i]]
     chains: list[Face] = []
-
-    def grow(i: int, mask: Face) -> None:
-        mask |= 1 << i
-        if not covers[i]:
+    stack = [(1 << i, i) for i in range(m) if not below[i]]
+    while stack:
+        mask, i = stack.pop()
+        if covers[i]:
+            stack.extend((mask | 1 << j, j) for j in covers[i])
+        else:
             chains.append(mask)
-            return
-        for j in covers[i]:
-            grow(j, mask)
-
-    for i in minimal:
-        grow(i, 0)
-    return SimplicialComplex.from_facets(m, chains)
+    return SimplicialComplex(m, tuple(sorted(chains)))
 
 
 def is_k_sparse(code: Code, k: int) -> bool:

@@ -22,8 +22,12 @@ The meet contains tau and has the same up-set, so the region depends on
 tau only through the meet.  When the meet is a codeword it is the least
 element of the up-set, so it lies on every maximal chain and the order
 complex is a cone: the region is contractible without building anything.
-Otherwise the order complex decides it.  The realized code is read off
-every cell, each handled as a ``(positive, zero)`` pair of int masks.
+Otherwise the order complex decides it, with cover relations read off bit
+masks of each codeword's up- and down-sets.  The good-cover check reads
+every face's meet from one table, filled in a single pass over the
+subsets of each codeword, and decides each meet that is not a codeword
+once.  The realized code is read off every cell, each handled as a
+``(positive, zero)`` pair of int masks.
 """
 
 from __future__ import annotations
@@ -70,8 +74,27 @@ class ArrangementCell:
         return f"({face_label(self.positive)}|{z})"
 
 
-def _upset(words: frozenset[int], tau: int) -> list[int]:
-    return [w for w in words if tau & ~w == 0]
+def _cone_region(words: frozenset[int], meet: int) -> TriStatus | None:
+    """The cone rule: Yes with the meet as apex when the meet is a codeword, else None."""
+    if meet in words:
+        return TriStatus(Verdict.YES, R_CONE_APEX, certificate=meet)
+    return None
+
+
+def _meet_table(words: frozenset[int]) -> dict[int, int]:
+    """The meet of the up-set of every nonempty face below some codeword.
+
+    One pass over the nonempty subsets of each word ANDs the word into
+    the entry of each subset, so the table costs the sum of 2^|w| over
+    the words.
+    """
+    meets: dict[int, int] = {}
+    for w in words:
+        sub = w
+        while sub:
+            meets[sub] = meets.get(sub, w) & w
+            sub = (sub - 1) & w
+    return meets
 
 
 def v_region_contractibility(
@@ -95,12 +118,12 @@ def v_region_contractibility(
     """
     if tau == 0:
         raise EmptyInput("tau must be a nonempty face")
-    pieces = _upset(code.words, tau)
+    pieces = [w for w in code.words if tau & ~w == 0]
     if not pieces:
         raise EmptyRegion(f"no codeword contains {face_label(tau)}")
-    meet = reduce(and_, pieces)
-    if meet in code.words:
-        return TriStatus(Verdict.YES, R_CONE_APEX, certificate=meet)
+    st = _cone_region(code.words, reduce(and_, pieces))
+    if st is not None:
+        return st
     if len(pieces) > MAX_VERTICES:
         raise TooLarge(
             f"{len(pieces)} codewords contain the face {face_label(tau)}, more than "
@@ -214,23 +237,32 @@ def good_cover_check(
     mask) order, and checks the contractibility of its cover intersection.
     Yes means the code is realized by a good cover; No carries the
     offending label set.  A label set has the same codewords above it as
-    their meet (their AND), so the intersections are decided by
-    :func:`v_region_contractibility` once per distinct meet, at the first
-    label set with that meet, and label sets with the same meet share the
-    verdict.  All regions share one search memo.
+    their meet (their AND), so label sets with the same meet share one
+    verdict.  Every meet comes from one table, filled by a single pass
+    over the subsets of each codeword.  A meet that is a codeword is a
+    cone apex, Yes straight from the table; any other meet is decided by
+    :func:`v_region_contractibility` once, at the first label set with
+    that meet.  All regions share one search memo.  The walk is refused
+    with TooLarge, like any face enumeration, when the facets have more
+    than 2^20 subsets in all.
     """
     if not code.words:
         raise EmptyInput("the code has no words")
     words = code.words
+    # the face enumeration refuses a wide word before the table could hold 2^|w| entries
+    faces = closure(code).faces()
+    meets = _meet_table(words)
     memo = {}
     by_meet: dict[int, TriStatus] = {}
 
     def region(tau: int) -> TriStatus:
-        meet = reduce(and_, _upset(words, tau))
+        meet = meets[tau]
         st = by_meet.get(meet)
         if st is None:
-            st = by_meet[meet] = v_region_contractibility(code, tau, budget, memo, primes)
+            st = _cone_region(words, meet)
+            if st is None:
+                st = v_region_contractibility(code, tau, budget, memo, primes)
+            by_meet[meet] = st
         return st
 
-    checks = ((tau, region(tau)) for tau in closure(code).faces() if tau)
-    return for_all(checks, R_ALL_REGIONS)
+    return for_all(((tau, region(tau)) for tau in faces if tau), R_ALL_REGIONS)

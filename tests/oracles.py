@@ -240,6 +240,35 @@ def naive_locally_great(code, budget=None):
     return Verdict.YES, None
 
 
+def naive_order_complex(faces):
+    """The order complex of the inclusion order, from the definition, on frozensets.
+
+    Vertex k + 1 is the k-th distinct input face in (size, mask) order.
+    Every chain, each face a strict subset of the next, is listed; the
+    facets are the chains that no further input face extends, that is,
+    no face outside the chain is comparable with all of its members.
+    Returns a package complex on as many vertices as distinct faces.
+    """
+    from convexcodes.complexes import SimplicialComplex
+
+    elems = sorted({to_set(f) for f in faces}, key=lambda s: (len(s), to_mask(s)))
+    chains = []
+
+    def grow(chain):
+        chains.append(chain)
+        for x in elems:
+            if chain[-1] < x:
+                grow(chain + [x])
+
+    for x in elems:
+        grow([x])
+    maximal = [c for c in chains
+               if not any(x not in c and all(x <= y or y <= x for y in c) for x in elems)]
+    index = {s: k for k, s in enumerate(elems)}
+    return SimplicialComplex(
+        len(elems), tuple(sorted(sum(1 << index[s] for s in c) for c in maximal)))
+
+
 def naive_good_cover(code, budget=None, primes=(2, 3, 5)):
     """The good-cover check from the definition: one order complex per face.
 
@@ -248,11 +277,12 @@ def naive_good_cover(code, budget=None, primes=(2, 3, 5)):
     containing tau, decided by ``contractibility_status`` alone with only
     the search memo shared; the faces are quantified in (size, mask)
     order.  No cone rule and no sharing between faces: the reference for
-    both in ``convexcodes.realization``.
+    both in ``convexcodes.realization``.  The order complexes come from
+    :func:`naive_order_complex`, not the package's.
     """
     from convexcodes.analysis import contractibility_status
     from convexcodes.collapse import Budget
-    from convexcodes.complexes import closure, order_complex
+    from convexcodes.complexes import closure
     from convexcodes.verdicts import R_ALL_REGIONS, for_all
 
     budget = budget or Budget()
@@ -260,7 +290,7 @@ def naive_good_cover(code, budget=None, primes=(2, 3, 5)):
 
     def region(tau):
         upset = [w for w in code.words if tau & ~w == 0]
-        return contractibility_status(order_complex(upset), budget, memo, primes)
+        return contractibility_status(naive_order_complex(upset), budget, memo, primes)
 
     return for_all(((tau, region(tau)) for tau in closure(code).faces() if tau), R_ALL_REGIONS)
 

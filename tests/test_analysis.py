@@ -261,6 +261,19 @@ def test_locally_great_enumerates_no_face_of_a_wide_word(n):
     assert (great.value, great.reason) == (Verdict.YES, R_ALL_LINKS)
 
 
+@pytest.mark.parametrize("code", [Code(3, frozenset({0b111, 1})),
+                                  Code(40, frozenset({(1 << 40) - 1, 1}))])
+def test_locally_good_and_great_share_one_yes_reason(code):
+    # the only facet intersection is the full word, a codeword; every
+    # other nonempty face but 1 is missing, with a cone link
+    report = classify(code)
+    for st in (is_locally_good(code), is_locally_great(code),
+               report.locally_good, report.locally_great):
+        assert (st.value, st.reason) == (Verdict.YES, R_ALL_LINKS)
+    for st in (is_locally_good(c_n(4)), classify(c_n(4)).locally_good):
+        assert (st.value, st.reason) == (Verdict.YES, R_VACUOUS)
+
+
 def test_max_intersection_complete():
     assert not is_max_intersection_complete(counterexample_code())
     assert is_max_intersection_complete(c_n(4))

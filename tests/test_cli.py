@@ -51,6 +51,17 @@ def test_classify_human_report(files, capsys):
     assert "sparsity: 4" in out
 
 
+@pytest.mark.parametrize("code", [Code(3, frozenset({0b111, 1})),
+                                  Code(40, frozenset({(1 << 40) - 1, 1}))])
+def test_classify_reports_one_yes_reason_for_missing_cone_faces(code, capsys, tmp_path):
+    path = tmp_path / "missing-cone-faces.code"
+    path.write_text(emit_code(code))
+    assert run(["classify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "locally_good: Yes [all-links-verified]\n" in out
+    assert "locally_great: Yes [all-links-verified]\n" in out
+
+
 def test_classify_witness_report(files, capsys):
     assert run(["classify", files["connected-not-goodcover"]]) == 0
     out = capsys.readouterr().out

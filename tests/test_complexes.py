@@ -22,6 +22,7 @@ from convexcodes.complexes import (
 )
 from convexcodes.errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
 from convexcodes.instances import (
+    all_codes,
     c_n,
     counterexample_code,
     random_complex,
@@ -255,6 +256,23 @@ def test_order_complex_counts_chains():
         oc = order_complex(sub)
         want = oracles.count_chains_by_length({oracles.to_set(f) for f in sub})
         assert oc.f_vector() == want
+
+
+def test_order_complex_matches_maximal_chains_by_definition():
+    upsets = {
+        frozenset(w for w in code.words if tau & ~w == 0)
+        for code in all_codes(4)
+        for tau in closure(code).faces()
+        if tau
+    }
+    rng = random.Random(12)
+    families = []
+    for _ in range(2000):
+        n = rng.choice((6, 7))
+        families.append({face_of(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                         for _ in range(rng.randint(1, 12))})
+    for faces in [*upsets, *families]:
+        assert order_complex(faces) == oracles.naive_order_complex(faces), sorted(faces)
 
 
 def test_order_complex_preserves_homology():

@@ -15,7 +15,10 @@ from convexcodes.analysis import classify
 from convexcodes.collapse import Budget
 from convexcodes.instances import c_n, random_code
 
-PINNED = "34fc5e0466788463ce3e6dfb0483781d9596be764f9bd87055073802aeb9648d"
+# Re-pinned when locally good took locally great's Yes reason rule: the
+# digest equals the previous output with exactly that reason remapped
+# (``nothing-to-check`` to ``all-links-verified`` on 96 reports).
+PINNED = "b346ac951fee80ce0336d5d6e1491540bbbe998519c3203237f8d67fc64db702"
 
 
 def canonical(value):

@@ -1,5 +1,8 @@
 """Arrangement cells, realized codes, and the good-cover verification."""
 
+from functools import reduce
+from operator import and_
+
 import pytest
 
 from convexcodes import realization
@@ -148,6 +151,34 @@ def test_order_complex_once_per_upset_of_a_missing_face(monkeypatch):
         assert set(built) <= no_least, code
         if st.is_yes:
             assert set(built) == no_least, code
+
+
+def test_meet_table_decides_each_non_codeword_meet_once(monkeypatch):
+    calls = []
+
+    def recording(code, tau, *args):
+        calls.append(tau)
+        return v_region_contractibility(code, tau, *args)
+
+    monkeypatch.setattr(realization, "v_region_contractibility", recording)
+    corpus = [*all_codes(3), *(code for i, code in enumerate(all_codes(4)) if i % 8 == 0)]
+    for code in corpus:
+        calls.clear()
+        st = good_cover_check(code)
+        want, meets = [], set()
+        for tau in closure(code).faces():
+            if not tau:
+                continue
+            upset = [w for w in code.words if tau & ~w == 0]
+            meet = reduce(and_, upset)
+            if meet not in meets:
+                meets.add(meet)
+                if meet not in code.words:
+                    want.append(tau)
+            if st.is_no and tau == st.witness:
+                break  # the walk stops at its first No
+        assert calls == want, code
+        assert repr(st) == repr(oracles.naive_good_cover(code)), code
 
 
 def test_enumerate_cells_small():

@@ -36,7 +36,6 @@ neither contractible nor collapsible, so no search runs on such a link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .collapse import Budget, is_collapsible
 from .complexes import (
@@ -254,7 +253,8 @@ _SHAPE_RUNGS = (R_TREE_TEST, R_NONZERO_BETTI)
 class _LinkTable:
     """Each facet intersection of a code's complex with its link and verdict.
 
-    ``links`` has every facet intersection as a key, in (size, mask) order.
+    ``links`` has every facet intersection as a key, in (size, mask) order,
+    and ``missing`` lists those that are not codewords, in the same order.
     A link is decided on its first read, through :meth:`entry`, and kept as
     the key's ``(link, status)`` value, so one table serves the mandatory
     words, local goodness, local greatness and max-intersection
@@ -275,8 +275,10 @@ class _LinkTable:
         self.budget = budget
         self.memo = {}
         self.by_shape = {}
+        self.vacuous_yes = None
         self.primes = primes
         self.links = dict.fromkeys(sorted(facet_intersections(self.cx), key=_face_sort_key))
+        self.missing = [sigma for sigma in self.links if sigma not in code.words]
 
     def entry(self, sigma: int) -> tuple[SimplicialComplex | None, TriStatus]:
         entry = self.links[sigma]
@@ -305,26 +307,21 @@ class _LinkTable:
         unknown = frozenset(sigma for sigma, st in statuses if st.is_unknown)
         return found, unknown
 
-    @cached_property
-    def has_every_face(self) -> bool:
-        return _has_every_face(self.code.words)
-
     def _over_missing(self, status) -> TriStatus:
         """``status(sigma)`` quantified over the facet intersections missing from the code.
 
         Yes carries ``all-links-verified`` when the code lacks some
         nonempty face of its complex, and ``nothing-to-check`` otherwise:
         a missing face that is no facet intersection has a cone link, so
-        it is verified without being walked.
+        it is verified without being walked.  The Yes with no link to
+        walk is worked out once per table and shared by both quantifiers.
         """
-        words = self.code.words
-        st = for_all(
-            ((sigma, status(sigma)) for sigma in self.links if sigma not in words),
-            R_ALL_LINKS,
-        )
-        if st.reason == R_VACUOUS and not self.has_every_face:
-            return TriStatus(Verdict.YES, R_ALL_LINKS)
-        return st
+        if self.missing:
+            return for_all(((sigma, status(sigma)) for sigma in self.missing), R_ALL_LINKS)
+        if self.vacuous_yes is None:
+            reason = R_VACUOUS if _has_every_face(self.code.words) else R_ALL_LINKS
+            self.vacuous_yes = TriStatus(Verdict.YES, reason)
+        return self.vacuous_yes
 
     def locally_good(self) -> TriStatus:
         return self._over_missing(lambda sigma: self.entry(sigma)[1])
@@ -470,7 +467,7 @@ def classify(
     return AnalysisReport(
         code=code,
         sparsity=sparsity,
-        max_intersection_complete=table.links.keys() <= code.words,
+        max_intersection_complete=not table.missing,
         locally_good=good,
         locally_great=great,
         mandatory_found=found,

@@ -65,6 +65,20 @@ def face_label(mask: Face, n: int = 0) -> str:
     return "{" + ",".join(str(v) for v in mem) + "}"
 
 
+def check_face_enumeration(facets: Iterable[Face]) -> None:
+    """Raise TooLarge when the facets have more than ``MAX_FACE_ENUMERATION`` subsets.
+
+    Subsets are counted with repeats, 2^|f| per facet f, so the check costs
+    one pass over the facets and comes before any face is enumerated.
+    """
+    total = sum(1 << f.bit_count() for f in facets)
+    if total > MAX_FACE_ENUMERATION:
+        raise TooLarge(
+            f"face enumeration is capped at 2^20 subsets summed over the "
+            f"facets; this complex's facets have {total}"
+        )
+
+
 def _face_sort_key(mask: Face) -> tuple[int, int]:
     # Deterministic face order used everywhere: size, then mask value.
     return (mask.bit_count(), mask)
@@ -182,12 +196,7 @@ class SimplicialComplex:
         """
         faces = self._faces
         if faces is None:
-            total = sum(1 << f.bit_count() for f in self.facets)
-            if total > MAX_FACE_ENUMERATION:
-                raise TooLarge(
-                    f"face enumeration is capped at 2^20 subsets summed over the "
-                    f"facets; this complex's facets have {total}"
-                )
+            check_face_enumeration(self.facets)
             seen: set[Face] = set()
             for f in self.facets:
                 sub = f

@@ -17,16 +17,20 @@ closed-set variant of the construction is also provided because it is
 wrong in an instructive way: it can grow extra codewords.
 
 Each cover intersection is decided by one rule.  Call the codewords
-containing a label set tau its up-set, and the AND of the up-set its meet.
-The meet contains tau and has the same up-set, so the region depends on
-tau only through the meet.  When the meet is a codeword it is the least
-element of the up-set, so it lies on every maximal chain and the order
-complex is a cone: the region is contractible without building anything.
-Otherwise the order complex decides it, with cover relations read off bit
+containing a label set tau its up-set, the AND of the up-set its meet and
+the OR its join.  The meet contains tau and has the same up-set, so the
+region depends on tau only through the meet.  When the meet is a codeword
+it is the least element of the up-set; when the join is a codeword it is
+the greatest.  Either way that codeword lies on every maximal chain, so
+the order complex is a cone and the region is contractible without
+building anything.  Only an up-set with neither a least nor a greatest
+codeword goes to its order complex, with cover relations read off bit
 masks of each codeword's up- and down-sets.  The good-cover check reads
-every face's meet from one table, filled in a single pass over the
-subsets of each codeword, and decides each meet that is not a codeword
-once.  The realized code is read off every cell, each handled as a
+every face's meet and join from one table, filled in a single pass over
+the subsets of each codeword, walks the table's own keys as the faces,
+and decides each meet that is not a cone once.  A cell of the open
+realization yields a word only when its positive part is a codeword, so
+the realized code is read off those cells alone, each handled as a
 ``(positive, zero)`` pair of int masks.
 """
 
@@ -34,12 +38,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import and_
+from operator import and_, or_
 from typing import Iterator
 
 from .analysis import contractibility_status
 from .collapse import Budget
-from .complexes import MAX_VERTICES, Code, closure, face_label, order_complex
+from .complexes import (
+    MAX_VERTICES,
+    Code,
+    check_face_enumeration,
+    closure,
+    face_label,
+    order_complex,
+)
 from .errors import EmptyInput, EmptyRegion, TooLarge
 from .homology import DEFAULT_PRIMES
 from .verdicts import R_ALL_REGIONS, R_CONE_APEX, TriStatus, Verdict, for_all
@@ -74,27 +85,38 @@ class ArrangementCell:
         return f"({face_label(self.positive)}|{z})"
 
 
-def _cone_region(words: frozenset[int], meet: int) -> TriStatus | None:
-    """The cone rule: Yes with the meet as apex when the meet is a codeword, else None."""
+def _cone_region(words: frozenset[int], meet: int, join: int) -> TriStatus | None:
+    """The cone rule for an up-set with this meet (AND) and join (OR).
+
+    A meet that is a codeword is the up-set's least element, a join that
+    is a codeword its greatest; either lies on every maximal chain, so the
+    order complex is a cone over it.  Gives Yes with reason ``cone-apex``
+    and that codeword as certificate, the meet first, else None.
+    """
     if meet in words:
         return TriStatus(Verdict.YES, R_CONE_APEX, certificate=meet)
+    if join in words:
+        return TriStatus(Verdict.YES, R_CONE_APEX, certificate=join)
     return None
 
 
-def _meet_table(words: frozenset[int]) -> dict[int, int]:
-    """The meet of the up-set of every nonempty face below some codeword.
+def _meet_table(words: frozenset[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """The meet and the join of the up-set of every nonempty face below some codeword.
 
     One pass over the nonempty subsets of each word ANDs the word into
-    the entry of each subset, so the table costs the sum of 2^|w| over
-    the words.
+    the meet of each subset and ORs it into the join, so the tables cost
+    the sum of 2^|w| over the words.  Both have the same keys: the
+    nonempty faces of the code's closure.
     """
     meets: dict[int, int] = {}
+    joins: dict[int, int] = {}
     for w in words:
         sub = w
         while sub:
             meets[sub] = meets.get(sub, w) & w
+            joins[sub] = joins.get(sub, 0) | w
             sub = (sub - 1) & w
-    return meets
+    return meets, joins
 
 
 def v_region_contractibility(
@@ -109,19 +131,21 @@ def v_region_contractibility(
     The intersection deformation retracts to the order complex of the
     codewords containing tau, its up-set, so the question is settled
     there, exactly.  When the meet of the up-set (the AND of its
-    codewords) is a codeword, it is the least element of the up-set, so
-    the order complex is a cone over it: the answer is Yes with reason
-    ``cone-apex`` and the meet as certificate, and no complex is built.
-    Otherwise the order complex is built and decided.  Raises TooLarge,
-    before building it, when more codewords contain tau than it has room
-    for as vertices.
+    codewords) is a codeword, it is the least element of the up-set; when
+    the join (the OR) is a codeword, it is the greatest.  Either way the
+    order complex is a cone over it: the answer is Yes with reason
+    ``cone-apex`` and that codeword as certificate, the meet first, and
+    no complex is built.  Otherwise the order complex is built and
+    decided.  Raises TooLarge, before building it, when an up-set with
+    neither a least nor a greatest codeword has more codewords than the
+    complex has room for as vertices.
     """
     if tau == 0:
         raise EmptyInput("tau must be a nonempty face")
     pieces = [w for w in code.words if tau & ~w == 0]
     if not pieces:
         raise EmptyRegion(f"no codeword contains {face_label(tau)}")
-    st = _cone_region(code.words, reduce(and_, pieces))
+    st = _cone_region(code.words, reduce(and_, pieces), reduce(or_, pieces))
     if st is not None:
         return st
     if len(pieces) > MAX_VERTICES:
@@ -132,12 +156,14 @@ def v_region_contractibility(
     return contractibility_status(order_complex(pieces), budget, memo, primes)
 
 
-def _walk_cells(n: int, visit) -> list:
+def _walk_cells(n: int, visit, positives=None) -> list:
     """Call ``visit(positive, zero)`` on every cell of an n-label arrangement.
 
-    Returns the truthy results in (|zero|, positive, zero) order: the walk
-    runs through positive parts, then zero parts, in ascending order, and
-    the results are kept in one bucket per zero-part size.
+    ``positives``, ascending nonzero masks, limits the walk to the cells
+    with those positive parts; by default it takes them all.  Returns the
+    truthy results in (|zero|, positive, zero) order: the walk runs
+    through positive parts, then zero parts, in ascending order, and the
+    results are kept in one bucket per zero-part size.
     """
     if n < 1:
         raise EmptyInput("need at least one label")
@@ -145,7 +171,7 @@ def _walk_cells(n: int, visit) -> list:
         raise TooLarge(f"cell enumeration is capped at {MAX_CELL_AMBIENT} labels")
     full = (1 << n) - 1
     by_zero_size = [[] for _ in range(n)]
-    for pos in range(1, full + 1):
+    for pos in range(1, full + 1) if positives is None else positives:
         rest = full ^ pos
         z = 0
         while True:
@@ -208,17 +234,27 @@ def realized_word_at_closed(code: Code, cell: ArrangementCell) -> int:
     return _closed_word(code.words, cell.positive, cell.zero)
 
 
-def _realized_code(code: Code, word_at) -> Code:
-    """The nonzero words ``word_at(words, positive, zero)`` gives over every cell."""
+def _realized_code(code: Code, word_at, positives=None) -> Code:
+    """The nonzero words ``word_at(words, positive, zero)`` gives over the cells.
+
+    ``positives`` limits the cells as in :func:`_walk_cells`.
+    """
     if not code.words:
         raise EmptyInput("the code has no words")
     n = code.ambient_n
-    return Code(n, frozenset(_walk_cells(n, partial(word_at, code.words))))
+    return Code(n, frozenset(_walk_cells(n, partial(word_at, code.words), positives)))
 
 
 def realized_code_from_U(code: Code) -> Code:
-    """Read the code back off the open realization, cell by cell."""
-    return _realized_code(code, _open_word)
+    """Read the code back off the open realization, cell by cell.
+
+    A cell (P, Z) yields P when P | S is a codeword for every S inside
+    Z, and nothing otherwise; S = {} asks for P itself.  So only the
+    cells whose positive part is a nonzero codeword are read, those parts
+    taken in ascending order, and the words come out in the order a walk
+    of every cell gives.
+    """
+    return _realized_code(code, _open_word, sorted(code.nonempty_words()))
 
 
 def realized_code_from_closures(code: Code) -> Code:
@@ -238,8 +274,9 @@ def good_cover_check(
     Yes means the code is realized by a good cover; No carries the
     offending label set.  A label set has the same codewords above it as
     their meet (their AND), so label sets with the same meet share one
-    verdict.  Every meet comes from one table, filled by a single pass
-    over the subsets of each codeword.  A meet that is a codeword is a
+    verdict.  Every meet and join (OR) comes from one table, filled by a
+    single pass over the subsets of each codeword, and the table's keys
+    are the label sets walked.  A meet or a join that is a codeword is a
     cone apex, Yes straight from the table; any other meet is decided by
     :func:`v_region_contractibility` once, at the first label set with
     that meet.  All regions share one search memo.  The walk is refused
@@ -249,9 +286,9 @@ def good_cover_check(
     if not code.words:
         raise EmptyInput("the code has no words")
     words = code.words
-    # the face enumeration refuses a wide word before the table could hold 2^|w| entries
-    faces = closure(code).faces()
-    meets = _meet_table(words)
+    # refuse a wide word before the table could hold 2^|w| entries
+    check_face_enumeration(closure(code).facets)
+    meets, joins = _meet_table(words)
     memo = {}
     by_meet: dict[int, TriStatus] = {}
 
@@ -259,10 +296,11 @@ def good_cover_check(
         meet = meets[tau]
         st = by_meet.get(meet)
         if st is None:
-            st = _cone_region(words, meet)
+            st = _cone_region(words, meet, joins[tau])
             if st is None:
                 st = v_region_contractibility(code, tau, budget, memo, primes)
             by_meet[meet] = st
         return st
 
-    return for_all(((tau, region(tau)) for tau in faces if tau), R_ALL_REGIONS)
+    faces = sorted(sorted(meets), key=int.bit_count)
+    return for_all(((tau, region(tau)) for tau in faces), R_ALL_REGIONS)

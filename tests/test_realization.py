@@ -1,7 +1,7 @@
 """Arrangement cells, realized codes, and the good-cover verification."""
 
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 import pytest
 
@@ -72,15 +72,38 @@ def test_v_region_cone_over_the_least_codeword():
     assert (st.value, st.reason, st.certificate) == (Verdict.YES, R_CONE_APEX, F("23"))
 
 
+def test_v_region_cone_under_the_greatest_codeword(monkeypatch):
+    def unbuilt(faces):
+        raise AssertionError("the order complex was built")
+
+    monkeypatch.setattr(realization, "order_complex", unbuilt)
+    # the missing face 1 lies below 12, 13 and 123: no least of them, 123
+    # the greatest
+    st = v_region_contractibility(Code(3, words("12", "13", "123")), F("1"))
+    assert (st.value, st.reason, st.certificate) == (Verdict.YES, R_CONE_APEX, F("123"))
+    # 65 codewords contain label 1, with no least one; the full 8-label
+    # word is the greatest, so the region is a cone instead of too large
+    full = F("12345678")
+    above_1 = [w for w in range(2, 1 << 7) if w & 1] + [F("1345678"), full]
+    code = Code(8, frozenset(above_1))
+    st = v_region_contractibility(code, F("1"))
+    assert (st.value, st.reason, st.certificate) == (Verdict.YES, R_CONE_APEX, full)
+    st = good_cover_check(code)
+    assert st.value is Verdict.YES and st.reason == R_ALL_REGIONS
+
+
 def test_v_region_too_large_for_an_order_complex(monkeypatch):
+    # 64 words of size 5 on 9 labels, each with label 1: an antichain, so
+    # no least or greatest codeword; the order complex fits, 64 points
+    antichain = [w for w in range(1 << 9) if w & 1 and w.bit_count() == 5][:64]
+    st = v_region_contractibility(Code(9, frozenset(antichain)), F("1"))
+    assert (st.value, st.reason) == (Verdict.NO, R_TREE_TEST)
     # the words on 7 labels that contain label 1, except the word 1, and
-    # the full word on 8 labels: 64 codewords contain label 1 with no
-    # least one among them, so the order complex is built; it fits, and
-    # the full word on top makes it a cone
-    above_1 = [w for w in range(2, 1 << 7) if w & 1] + [0b11111111]
-    assert v_region_contractibility(Code(8, frozenset(above_1)), F("1")).is_yes
+    # two incomparable 8-label words: 65 codewords contain label 1 with
+    # neither a least nor a greatest one among them
+    above_1 = [w for w in range(2, 1 << 7) if w & 1] + [F("1345678"), F("1245678")]
     with pytest.raises(TooLarge, match="65 codewords contain the face 1,"):
-        v_region_contractibility(Code(8, frozenset(above_1 + [0b10000001])), F("1"))
+        v_region_contractibility(Code(8, frozenset(above_1)), F("1"))
 
     def unbuilt(faces):
         raise AssertionError("the order complex was built")
@@ -132,6 +155,12 @@ def test_missing_faces_with_a_least_codeword_above_are_cones(monkeypatch):
     assert is_locally_good(code).is_yes
 
 
+def _has_least_or_greatest(upset):
+    """Whether some codeword of the up-set lies below, or above, all of them."""
+    return any(all(v & ~w == 0 for w in upset) or all(w & ~v == 0 for w in upset)
+               for v in upset)
+
+
 def test_order_complex_once_per_upset_of_a_missing_face(monkeypatch):
     built = []
 
@@ -145,12 +174,13 @@ def test_order_complex_once_per_upset_of_a_missing_face(monkeypatch):
         st = good_cover_check(code)
         missing = [t for t in closure(code).faces() if t and t not in code.words]
         upsets = {frozenset(w for w in code.words if t & ~w == 0) for t in missing}
-        # an up-set with a least codeword is a cone and needs no complex
-        no_least = {u for u in upsets if not any(all(v & ~w == 0 for w in u) for v in u)}
+        # an up-set with a least or a greatest codeword is a cone and
+        # needs no complex
+        no_cone = {u for u in upsets if not _has_least_or_greatest(u)}
         assert len(built) == len(set(built)), code
-        assert set(built) <= no_least, code
+        assert set(built) <= no_cone, code
         if st.is_yes:
-            assert set(built) == no_least, code
+            assert set(built) == no_cone, code
 
 
 def test_meet_table_decides_each_non_codeword_meet_once(monkeypatch):
@@ -173,12 +203,23 @@ def test_meet_table_decides_each_non_codeword_meet_once(monkeypatch):
             meet = reduce(and_, upset)
             if meet not in meets:
                 meets.add(meet)
-                if meet not in code.words:
+                if not _has_least_or_greatest(upset):
                     want.append(tau)
             if st.is_no and tau == st.witness:
                 break  # the walk stops at its first No
         assert calls == want, code
         assert repr(st) == repr(oracles.naive_good_cover(code)), code
+
+
+def test_meet_table_matches_the_upsets():
+    for code in _parity_corpus():
+        meets, joins = realization._meet_table(code.words)
+        assert set(meets) == set(closure(code).faces()) - {0}, code
+        assert set(joins) == set(meets), code
+        for tau, meet in meets.items():
+            upset = [w for w in code.words if tau & ~w == 0]
+            assert meet == reduce(and_, upset), (code, tau)
+            assert joins[tau] == reduce(or_, upset), (code, tau)
 
 
 def test_enumerate_cells_small():
@@ -301,6 +342,25 @@ def test_realized_codes_match_the_cell_by_cell_reference():
         assert repr(realized_code_from_U(code)) == repr(oracles.naive_realized_code(code)), code
         assert (repr(realized_code_from_closures(code))
                 == repr(oracles.naive_realized_code(code, closed=True))), code
+
+
+def test_realized_code_reads_codeword_cells_only(monkeypatch):
+    visited = []
+    open_word = realization._open_word
+
+    def recording(words, pos, zero):
+        visited.append((pos, zero))
+        return open_word(words, pos, zero)
+
+    monkeypatch.setattr(realization, "_open_word", recording)
+    for code in _parity_corpus():
+        visited.clear()
+        realized = realized_code_from_U(code)
+        want = {(p, z) for p in code.words if p
+                for z in range(1 << code.ambient_n) if not z & p}
+        assert all(pos in code.words for pos, _ in visited), code
+        assert len(visited) == len(want) and set(visited) == want, code
+        assert realized.words == code.words - {0}, code
 
 
 def test_realized_words_at_cells_match_the_definition():

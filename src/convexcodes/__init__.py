@@ -14,7 +14,6 @@ from .analysis import (
     facet_intersections,
     is_locally_good,
     is_locally_great,
-    is_max_intersection_complete,
     mandatory_codewords,
 )
 from .collapse import (
@@ -36,17 +35,13 @@ from .complexes import (
     face_label,
     face_members,
     face_of,
-    is_k_sparse,
     link,
-    maximal_codewords,
     order_complex,
     restriction,
 )
 from .errors import ConvexCodesError
 from .homology import BettiVector, boundary_matrix, is_acyclic, reduced_betti
 from .realization import (
-    ArrangementCell,
-    enumerate_cells,
     good_cover_check,
     realized_code_from_U,
     realized_code_from_closures,
@@ -58,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "ArrangementCell",
     "BettiVector",
     "Budget",
     "Code",
@@ -76,7 +70,6 @@ __all__ = [
     "cone_minus_apex",
     "contractibility_status",
     "elementary_collapse",
-    "enumerate_cells",
     "face_label",
     "face_members",
     "face_of",
@@ -85,14 +78,11 @@ __all__ = [
     "good_cover_check",
     "is_acyclic",
     "is_collapsible",
-    "is_k_sparse",
     "is_locally_good",
     "is_locally_great",
-    "is_max_intersection_complete",
     "kernel_name",
     "link",
     "mandatory_codewords",
-    "maximal_codewords",
     "order_complex",
     "realized_code_from_U",
     "realized_code_from_closures",

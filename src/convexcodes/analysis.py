@@ -402,12 +402,6 @@ def is_locally_great(
     return _LinkTable(code, budget, DEFAULT_PRIMES).locally_great()
 
 
-def is_max_intersection_complete(code: Code) -> bool:
-    """True when every nonempty intersection of maximal codewords is a codeword."""
-    cx = _check_code(code)
-    return facet_intersections(cx) <= code.words
-
-
 def cone_minus_apex(cx: SimplicialComplex) -> Code:
     """The code of all nonempty cone faces except the bare apex.
 

@@ -74,7 +74,7 @@ class CollapseStep:
     sigma: int
     tau: int
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"({face_label(self.sigma)},{face_label(self.tau)})"
 
 

@@ -18,7 +18,6 @@ computed downstream, which is why most operations quietly skip it.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator
@@ -228,20 +227,11 @@ class SimplicialComplex:
         """The k-faces sorted by mask value; k = -1 names the empty face."""
         return list(self._all_faces()[self._size_offset(k + 1) : self._size_offset(k + 2)])
 
-    def num_faces(self) -> int:
-        return len(self._all_faces())
-
     def f_vector(self) -> tuple[int, ...]:
         """Counts of faces per dimension 0..dim; the empty face is not counted."""
         self._all_faces()
         offsets = self._offsets[1:]
         return tuple(b - a for a, b in zip(offsets, offsets[1:]))
-
-    def vertices(self) -> tuple[int, ...]:
-        mask = 0
-        for f in self.facets:
-            mask |= f
-        return face_members(mask)
 
 
 def closure(code: Code) -> SimplicialComplex:
@@ -252,10 +242,6 @@ def closure(code: Code) -> SimplicialComplex:
     empty-face-only complex.
     """
     return SimplicialComplex.from_facets(code.ambient_n, code.words)
-
-
-def maximal_codewords(code: Code) -> frozenset[Face]:
-    return frozenset(closure(code).facets)
 
 
 def link(cx: SimplicialComplex, sigma: Face) -> SimplicialComplex:
@@ -352,19 +338,3 @@ def order_complex(faces: Iterable[Face]) -> SimplicialComplex:
             chains.append(mask)
     return SimplicialComplex(m, tuple(sorted(chains)))
 
-
-def is_k_sparse(code: Code, k: int) -> bool:
-    """True when every word has at most k members (the empty word always passes)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return all(w.bit_count() <= k for w in code.words)
-
-
-def simplex_faces(members: Iterable[int]) -> list[Face]:
-    """All nonempty faces spanned by the given vertex labels."""
-    mem = tuple(members)
-    out = []
-    for r in range(1, len(mem) + 1):
-        for combo in itertools.combinations(mem, r):
-            out.append(face_of(combo))
-    return out

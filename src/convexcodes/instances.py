@@ -29,8 +29,9 @@ def intro_code() -> Code:
 
 
 def counterexample_code() -> Code:
-    """Five-label code that is locally good and locally great yet not closed
-    under maximal-word intersection (the word 1 is forced but absent)."""
+    """Five-label code that is locally good and locally great yet not max
+    intersection complete (``classify`` reports
+    ``max_intersection_complete`` False: the word 1 is forced but absent)."""
     return _code(5, ["2345", "123", "134", "145", "13", "14", "23", "34", "45", "3", "4"])
 
 

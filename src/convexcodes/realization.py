@@ -30,16 +30,15 @@ every face's meet and join from one table, filled in a single pass over
 the subsets of each codeword, walks the table's own keys as the faces,
 and decides each meet that is not a cone once.  A cell of the open
 realization yields a word only when its positive part is a codeword, so
-the realized code is read off those cells alone, each handled as a
-``(positive, zero)`` pair of int masks.
+the realized code is read off those cells alone.  A cell is never an
+object: the walk hands each one over as a ``(positive, zero)`` pair of
+int masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import and_, or_
-from typing import Iterator
 
 from .analysis import contractibility_status
 from .collapse import Budget
@@ -56,33 +55,6 @@ from .homology import DEFAULT_PRIMES
 from .verdicts import R_ALL_REGIONS, R_CONE_APEX, TriStatus, Verdict, for_all
 
 MAX_CELL_AMBIENT = 12
-
-
-@dataclass(frozen=True)
-class ArrangementCell:
-    """One relatively open cell of the simplex facet arrangement.
-
-    ``positive`` is the mask of coordinates forced positive, ``zero`` the
-    mask pinned to the hyperplanes.  The remaining coordinates are
-    negative.  Cells with an empty positive part are empty point sets and
-    never constructed; the cell's dimension is (n - 1) - |zero|.
-    """
-
-    positive: int
-    zero: int
-
-    def __post_init__(self):
-        if self.positive == 0:
-            raise EmptyInput("a cell needs a nonempty positive part")
-        if self.positive & self.zero:
-            raise EmptyInput("positive and zero parts must be disjoint")
-
-    def dimension(self, ambient_n: int) -> int:
-        return (ambient_n - 1) - self.zero.bit_count()
-
-    def __str__(self) -> str:
-        z = face_label(self.zero) if self.zero else "-"
-        return f"({face_label(self.positive)}|{z})"
 
 
 def _cone_region(words: frozenset[int], meet: int, join: int) -> TriStatus | None:
@@ -159,14 +131,13 @@ def v_region_contractibility(
 def _walk_cells(n: int, visit, positives=None) -> list:
     """Call ``visit(positive, zero)`` on every cell of an n-label arrangement.
 
+    n is a code's ``ambient_n``, which :class:`Code` keeps at 1 or more.
     ``positives``, ascending nonzero masks, limits the walk to the cells
     with those positive parts; by default it takes them all.  Returns the
     truthy results in (|zero|, positive, zero) order: the walk runs
     through positive parts, then zero parts, in ascending order, and the
     results are kept in one bucket per zero-part size.
     """
-    if n < 1:
-        raise EmptyInput("need at least one label")
     if n > MAX_CELL_AMBIENT:
         raise TooLarge(f"cell enumeration is capped at {MAX_CELL_AMBIENT} labels")
     full = (1 << n) - 1
@@ -183,16 +154,13 @@ def _walk_cells(n: int, visit, positives=None) -> list:
     return [r for rs in by_zero_size for r in rs]
 
 
-def enumerate_cells(n: int) -> Iterator[ArrangementCell]:
-    """All 3^n - 2^n arrangement cells, by zero-part size, then positive, then zero mask.
-
-    A 1-label ambient space is a single point carrying the one cell
-    ({1}, {}); the same enumeration covers it without special handling.
-    """
-    yield from _walk_cells(n, ArrangementCell)
-
-
 def _open_word(words: frozenset[int], pos: int, zero: int) -> int:
+    """The labels whose open sets contain the cell: its whole positive part or none.
+
+    The cell is covered only when every adjacent chamber, one per subset
+    S of the zero part, belongs to the cover, that is when every pos | S
+    is a codeword.
+    """
     sub = zero
     while True:
         if (pos | sub) not in words:
@@ -203,6 +171,11 @@ def _open_word(words: frozenset[int], pos: int, zero: int) -> int:
 
 
 def _closed_word(words: frozenset[int], pos: int, zero: int) -> int:
+    """The labels whose closed sets meet the cell: the OR of every codeword pos | S.
+
+    One adjacent chamber in the cover suffices, which is what lets
+    spurious codewords appear.
+    """
     word = 0
     sub = zero
     while True:
@@ -212,26 +185,6 @@ def _closed_word(words: frozenset[int], pos: int, zero: int) -> int:
         if sub == 0:
             return word
         sub = (sub - 1) & zero
-
-
-def realized_word_at(code: Code, cell: ArrangementCell) -> int:
-    """Which labels' open sets contain this cell.
-
-    The open set for label i picks up the cell only when i is positive
-    there and every adjacent chamber, one per subset of the zero part,
-    belongs to the cover.  So the cell realizes its full positive part or
-    nothing.
-    """
-    return _open_word(code.words, cell.positive, cell.zero)
-
-
-def realized_word_at_closed(code: Code, cell: ArrangementCell) -> int:
-    """Closed-set variant: labels whose closed set meets the cell.
-
-    Closure only needs one adjacent chamber in the cover, which is what
-    lets spurious codewords appear.
-    """
-    return _closed_word(code.words, cell.positive, cell.zero)
 
 
 def _realized_code(code: Code, word_at, positives=None) -> Code:

@@ -2,6 +2,8 @@
 
 import random
 import time
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -14,7 +16,6 @@ from convexcodes.analysis import (
     facet_intersections,
     is_locally_good,
     is_locally_great,
-    is_max_intersection_complete,
     mandatory_codewords,
 )
 from convexcodes.collapse import MODES, Budget, CollapseOutcome
@@ -275,9 +276,9 @@ def test_locally_good_and_great_share_one_yes_reason(code):
 
 
 def test_max_intersection_complete():
-    assert not is_max_intersection_complete(counterexample_code())
-    assert is_max_intersection_complete(c_n(4))
-    assert is_max_intersection_complete(intro_code())
+    assert not classify(counterexample_code()).max_intersection_complete
+    assert classify(c_n(4)).max_intersection_complete
+    assert classify(intro_code()).max_intersection_complete
 
 
 def test_cone_minus_apex_examples():
@@ -464,9 +465,14 @@ def test_empty_word_never_matters():
         assert is_locally_great(plain).value is is_locally_great(padded).value
 
 
+def vertices(cx):
+    """The labels of cx's vertices, ascending."""
+    return face_members(reduce(or_, cx.facets, 0))
+
+
 def relabel(cx, labels):
     """cx with its i-th smallest vertex renamed labels[i]; labels ascend."""
-    rename = dict(zip(cx.vertices(), labels))
+    rename = dict(zip(vertices(cx), labels))
     facets = [face_of(rename[v] for v in face_members(f)) for f in cx.facets]
     return SimplicialComplex.from_facets(max(labels, default=1), facets)
 
@@ -477,7 +483,7 @@ def test_classify_computes_betti_once_per_link_shape(monkeypatch):
     calls = []
 
     def counting(cx, p, _fn=analysis.reduced_betti):
-        calls.append((relabel(cx, range(1, len(cx.vertices()) + 1)).facets, p))
+        calls.append((relabel(cx, range(1, len(vertices(cx)) + 1)).facets, p))
         return _fn(cx, p)
 
     monkeypatch.setattr(analysis, "reduced_betti", counting)
@@ -503,7 +509,7 @@ def test_betti_memo_matches_fresh_homology(monkeypatch):
     memo = {}  # one memo across every complex, as one classify shares it
     for seed in range(2000):
         cx = random_complex(7, seed, max_facets=8)
-        k = len(cx.vertices())
+        k = len(vertices(cx))
         shifted = relabel(cx, range(1 + seed % 5, k + 1 + seed % 5))
         spread = relabel(cx, sorted(rng.sample(range(1, 65), k)))
         fresh = contractibility_status(cx)

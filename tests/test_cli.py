@@ -145,12 +145,18 @@ def test_links_rejects_non_faces(files, capsys):
     assert run(["links", "--face", "15", files["intro-code"]]) == 65
 
 
-def test_collapse_command(files, capsys):
+def test_collapse_command(files, capsys, tmp_path):
     assert run(["collapse", files["dunce-hat"]]) == 0
     out = capsys.readouterr().out
     assert "collapsible: No" in out and "1 nodes" in out
     assert run(["collapse", "--strict", files["dunce-hat"]]) == 1
     assert run(["collapse", "--engine", "collapse", files["dunce-hat"]]) == 0
+    capsys.readouterr()
+    # the certificate line prints each step through CollapseStep.__str__
+    triangle = tmp_path / "triangle.cx"
+    triangle.write_text("n=3\n123\n")
+    assert run(["collapse", str(triangle)]) == 0
+    assert "certificate: steps (12,123) (2,23) (1,13)\n" in capsys.readouterr().out
 
 
 def test_collapse_budget_unknown(files, capsys, tmp_path):

@@ -13,12 +13,9 @@ from convexcodes.complexes import (
     face_label,
     face_members,
     face_of,
-    is_k_sparse,
     link,
-    maximal_codewords,
     order_complex,
     restriction,
-    simplex_faces,
 )
 from convexcodes.errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
 from convexcodes.instances import (
@@ -65,6 +62,10 @@ def test_closure_examples():
     assert cx.facets == (F("12"), F("23"))
     assert closure(Code(3, frozenset())).is_void
     assert closure(Code(3, frozenset())).dimension() == -1
+    # the facets are the maximal codewords; the empty word counts only alone
+    assert closure(C(4, "12", "123", "4", "23")).facets == (F("123"), F("4"))
+    assert closure(Code(2, frozenset({0}))).facets == (0,)
+    assert closure(C(3, 0, "1", "12", "3")).facets == (F("12"), F("3"))
     cex = closure(counterexample_code())
     assert set(cex.facets) == {F("2345"), F("123"), F("134"), F("145")}
 
@@ -107,7 +108,6 @@ def test_face_cache_matches_brute_force():
         assert cx.f_vector() == tuple(
             sum(1 for f in faces if f.bit_count() == k + 1) for k in range(dim + 1)
         )
-        assert cx.num_faces() == len(faces)
         # the cache is not part of the value
         fresh = SimplicialComplex(cx.ambient_n, cx.facets)
         assert cx == fresh and hash(cx) == hash(fresh) and repr(cx) == repr(fresh)
@@ -128,13 +128,12 @@ def test_face_enumeration_cap():
     # 2^19 subsets, and its faces are every proper subset of 16 labels
     widest = closure(c_n(16))
     assert sum(1 << f.bit_count() for f in widest.facets) == 1 << 19
-    assert widest.num_faces() == (1 << 16) - 1
+    assert len(list(widest.faces())) == (1 << 16) - 1
     # one 21-vertex facet, or two 20-vertex ones, count 2^21 subsets
     wide = [SimplicialComplex(21, ((1 << 21) - 1,)),
             SimplicialComplex(21, ((1 << 20) - 1, (1 << 21) - 2))]
     for cx in wide:
-        for enumerate_faces in (cx.faces, cx.f_vector, cx.num_faces,
-                                lambda: cx.faces_of_dim(0)):
+        for enumerate_faces in (cx.faces, cx.f_vector, lambda: cx.faces_of_dim(0)):
             with pytest.raises(TooLarge, match=r"capped at 2\^20"):
                 enumerate_faces()
     # the cap counts subsets of facets, not labels
@@ -232,7 +231,7 @@ def test_cone_law():
 def test_order_complex_examples():
     edge = order_complex({F("1"), F("12")})
     assert edge.f_vector() == (2, 1)
-    bary = order_complex(simplex_faces([1, 2, 3]))
+    bary = order_complex(range(1, 8))  # the nonempty faces of the triangle 123
     assert bary.f_vector() == (7, 12, 6)
     pts = order_complex({F("1"), F("2"), F("3")})
     assert pts.f_vector() == (3,)
@@ -292,36 +291,11 @@ def test_order_complex_preserves_homology():
             assert a + (0,) * (pad - len(a)) == b + (0,) * (pad - len(b))
 
 
-def test_is_k_sparse():
-    cex = counterexample_code()
-    assert is_k_sparse(cex, 4)
-    assert not is_k_sparse(cex, 3)
-    assert is_k_sparse(Code(3, frozenset()), 0)
-    # exactness: k = largest word size is the threshold
-    sizes = [w.bit_count() for w in cex.words]
-    assert not is_k_sparse(cex, max(sizes) - 1) and is_k_sparse(cex, max(sizes))
-
-
-def test_maximal_codewords():
-    code = C(4, "12", "123", "4", "23")
-    assert maximal_codewords(code) == frozenset({F("123"), F("4")})
-    assert maximal_codewords(Code(2, frozenset())) == frozenset()
-    assert maximal_codewords(Code(2, frozenset({0}))) == frozenset({0})
-    assert maximal_codewords(C(3, 0, "1", "12", "3")) == frozenset({F("12"), F("3")})
-
-
 def test_f_vector_and_dimension():
     cx = closure(C(4, "123", "34"))
     assert cx.f_vector() == (4, 4, 1)
     assert cx.dimension() == 2
-    assert cx.num_faces() == 10  # 9 nonempty plus the empty face
-    assert cx.vertices() == (1, 2, 3, 4)
-
-
-def test_simplex_faces():
-    faces = simplex_faces([1, 2, 3])
-    assert len(faces) == 7
-    assert set(faces) == {f for f in closure(C(3, "123")).faces() if f}
+    assert len(list(cx.faces())) == 10  # 9 nonempty plus the empty face
 
 
 def test_code_empty_word_tracking():

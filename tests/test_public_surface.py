@@ -1,0 +1,79 @@
+"""The package's public names: exactly the pinned set, each one importable."""
+
+import importlib
+
+import convexcodes
+from convexcodes.complexes import SimplicialComplex
+
+PUBLIC = (
+    "AnalysisReport",
+    "BettiVector",
+    "Budget",
+    "Code",
+    "CollapseOutcome",
+    "CollapseStep",
+    "ConvexCodesError",
+    "SimplicialComplex",
+    "TriStatus",
+    "Verdict",
+    "__version__",
+    "boundary_matrix",
+    "certifies_collapse",
+    "classify",
+    "closure",
+    "cone",
+    "cone_minus_apex",
+    "contractibility_status",
+    "elementary_collapse",
+    "face_label",
+    "face_members",
+    "face_of",
+    "facet_intersections",
+    "free_pairs",
+    "good_cover_check",
+    "is_acyclic",
+    "is_collapsible",
+    "is_locally_good",
+    "is_locally_great",
+    "kernel_name",
+    "link",
+    "mandatory_codewords",
+    "order_complex",
+    "realized_code_from_U",
+    "realized_code_from_closures",
+    "reduced_betti",
+    "replay_certificate",
+    "restriction",
+    "v_region_contractibility",
+)
+
+# Names that nothing but their own tests read; they must not come back.
+REMOVED = (
+    "ArrangementCell",
+    "enumerate_cells",
+    "realized_word_at",
+    "realized_word_at_closed",
+    "maximal_codewords",
+    "is_k_sparse",
+    "simplex_faces",
+    "is_max_intersection_complete",
+)
+
+MODULES = ("analysis", "cli", "collapse", "complexes", "errors", "fileformat",
+           "homology", "instances", "realization", "verdicts")
+
+
+def test_all_is_pinned_and_resolves():
+    assert tuple(sorted(convexcodes.__all__)) == PUBLIC
+    assert len(set(convexcodes.__all__)) == len(convexcodes.__all__)
+    for name in PUBLIC:
+        assert getattr(convexcodes, name) is not None, name
+
+
+def test_removed_names_are_gone():
+    modules = [convexcodes] + [importlib.import_module(f"convexcodes.{m}") for m in MODULES]
+    for mod in modules:
+        for name in REMOVED:
+            assert not hasattr(mod, name), (mod.__name__, name)
+    for method in ("num_faces", "vertices"):
+        assert not hasattr(SimplicialComplex, method), method

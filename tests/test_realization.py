@@ -8,7 +8,7 @@ import pytest
 from convexcodes import realization
 from convexcodes.collapse import Budget
 from convexcodes.complexes import Code, closure, face_of, order_complex
-from convexcodes.errors import EmptyInput, EmptyRegion, TooLarge
+from convexcodes.errors import EmptyRegion, LabelOutOfRange, TooLarge
 from convexcodes.instances import (
     all_codes,
     broken_line_code,
@@ -19,13 +19,12 @@ from convexcodes.instances import (
     two_edge_overlap_code,
 )
 from convexcodes.realization import (
-    ArrangementCell,
-    enumerate_cells,
+    _closed_word,
+    _open_word,
+    _walk_cells,
     good_cover_check,
     realized_code_from_U,
     realized_code_from_closures,
-    realized_word_at,
-    realized_word_at_closed,
     v_region_contractibility,
 )
 from convexcodes.verdicts import R_ALL_REGIONS, R_CONE_APEX, R_TREE_TEST, Verdict
@@ -39,17 +38,6 @@ def F(digits):
 
 def words(*ws):
     return frozenset(F(w) if isinstance(w, str) else w for w in ws)
-
-
-def test_cell_validation():
-    cell = ArrangementCell(F("1"), F("23"))
-    assert str(cell) == "(1|23)"
-    assert cell.dimension(3) == 0
-    assert ArrangementCell(F("12"), 0).dimension(3) == 2
-    with pytest.raises(EmptyInput):
-        ArrangementCell(0, F("1"))
-    with pytest.raises(EmptyInput):
-        ArrangementCell(F("12"), F("2"))
 
 
 def test_v_region_examples():
@@ -222,27 +210,34 @@ def test_meet_table_matches_the_upsets():
             assert joins[tau] == reduce(or_, upset), (code, tau)
 
 
+def cells(n):
+    """Every (positive, zero) cell of the n-label arrangement, in walk order."""
+    return _walk_cells(n, lambda p, z: (p, z))
+
+
 def test_enumerate_cells_small():
-    assert [(c.positive, c.zero) for c in enumerate_cells(1)] == [(1, 0)]
-    got = [(c.positive, c.zero) for c in enumerate_cells(2)]
-    assert got == [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]
-    assert len(list(enumerate_cells(3))) == 19
+    assert cells(1) == [(1, 0)]
+    assert cells(2) == [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]
+    assert len(cells(3)) == 19
 
 
 def test_enumerate_cells_counts():
     for n in range(1, 7):
-        cells = list(enumerate_cells(n))
-        assert len(cells) == 3**n - 2**n
-        assert len(set(cells)) == len(cells)
-        chambers = [c for c in cells if c.zero == 0]
+        got = cells(n)
+        assert len(got) == 3**n - 2**n
+        assert len(set(got)) == len(got)
+        chambers = [c for c in got if c[1] == 0]
         assert len(chambers) == 2**n - 1
 
 
 def test_enumerate_cells_bounds():
     with pytest.raises(TooLarge):
-        list(enumerate_cells(13))
-    with pytest.raises(EmptyInput):
-        list(enumerate_cells(0))
+        cells(13)
+    with pytest.raises(TooLarge):
+        realized_code_from_U(Code(13, frozenset({1})))
+    # no code has fewer than one label, so no walk starts below n = 1
+    with pytest.raises(LabelOutOfRange):
+        Code(0, frozenset())
 
 
 def test_realized_code_examples():
@@ -256,19 +251,17 @@ def test_realized_code_examples():
 
 
 def test_realized_word_at_cell():
-    trap = naive_closure_trap_code()  # {1, 12, 13}
-    edge = ArrangementCell(F("1"), F("2"))
-    assert realized_word_at(trap, edge) == F("1")  # interval {1, 12} all in C
-    # at the vertex of the simplex the interval includes 123, which is not
-    # a codeword, so the open rule yields nothing there
-    vertex = ArrangementCell(F("1"), F("23"))
-    assert realized_word_at(trap, vertex) == 0
+    trap = naive_closure_trap_code().words  # {1, 12, 13}
+    # the edge cell (1|2): interval {1, 12} all in C
+    assert _open_word(trap, F("1"), F("2")) == F("1")
+    # at the vertex (1|23) of the simplex the interval includes 123, which
+    # is not a codeword, so the open rule yields nothing there
+    assert _open_word(trap, F("1"), F("23")) == 0
     # the closed rule ORs the codewords it does meet, creating the extra
     # word 123
-    assert realized_word_at_closed(trap, vertex) == F("123")
-    mid = ArrangementCell(F("12"), F("3"))
-    assert realized_word_at(trap, mid) == 0
-    assert realized_word_at_closed(trap, mid) == F("12")
+    assert _closed_word(trap, F("1"), F("23")) == F("123")
+    assert _open_word(trap, F("12"), F("3")) == 0
+    assert _closed_word(trap, F("12"), F("3")) == F("12")
 
 
 def test_realization_theorem_exhaustive_small():
@@ -364,14 +357,14 @@ def test_realized_code_reads_codeword_cells_only(monkeypatch):
 
 
 def test_realized_words_at_cells_match_the_definition():
-    cells = list(enumerate_cells(3))
+    all_cells = cells(3)
     for code in all_codes(3):
         word_sets = {oracles.to_set(w) for w in code.words}
-        for cell in cells:
-            want = oracles.naive_cell_word(word_sets, cell.positive, cell.zero)
-            assert realized_word_at(code, cell) == want
-            assert (realized_word_at_closed(code, cell)
-                    == oracles.naive_cell_word(word_sets, cell.positive, cell.zero, closed=True))
+        for pos, zero in all_cells:
+            want = oracles.naive_cell_word(word_sets, pos, zero)
+            assert _open_word(code.words, pos, zero) == want
+            assert (_closed_word(code.words, pos, zero)
+                    == oracles.naive_cell_word(word_sets, pos, zero, closed=True))
 
 
 def test_ambient_one_neuron():

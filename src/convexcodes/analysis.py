@@ -12,15 +12,18 @@ here is decided at the level of links inside the code's complex:
 * a code is locally great when every missing face has a collapsible link,
   a strictly stronger, fully decidable demand.  Only the missing facet
   intersections are walked, for the same reason: every other face has a
-  cone link, and a cone is collapsible.  Nor is a link searched when
-  nonzero Betti numbers already proved it not contractible; such a No
-  reports ``nodes_explored`` 0.
+  cone link, and a cone is collapsible.  Collapsibility is read off the
+  link's contractibility status, with no search of its own: the ladder's
+  last rung is the collapse search itself, and every earlier rung that
+  settles contractibility settles collapsibility too.  A No reports the
+  ``nodes_explored`` of the one search that decided the link, or 0 when a
+  tree test or nonzero Betti numbers decided it.
 
 Both verdicts and the mandatory codewords are read off one link table per
-code: each facet intersection with its link's contractibility verdict,
+code: each facet intersection with its link's contractibility status,
 decided on first read.  Links that differ only by an order-preserving
 relabel of their vertices have one shape, and the table decides each
-shape once: a later link of a known shape takes the stored verdict
+shape once: a later link of a known shape takes the stored status
 without being built.  Only links that need the collapse search are built
 and decided one by one, sharing one memo of the search's states and of
 the Betti numbers of each shape.
@@ -147,8 +150,11 @@ def contractibility_status(
     complexes fail), cone detection (a vertex lying in every facet),
     nonvanishing reduced homology over the given primes as a disproof, then
     a collapsibility certificate from the greedy walks and the exhaustive
-    search.  A complex that is acyclic yet admits no collapse within budget
-    stays Unknown.
+    search.  A complex that is acyclic yet admits no collapse stays
+    Unknown: ``inconclusive`` when the search proved it not collapsible,
+    ``budget`` when the search was cut off.  Both carry the search's node
+    count as the certificate ``{"nodes_explored": n}``, so every rung but
+    ``budget`` also settles collapsibility, and no second search is needed.
 
     ``memo`` is shared with the search, whose entries are keyed
     ``(mode, state)``.  The Betti rung adds entries keyed
@@ -189,7 +195,8 @@ def contractibility_status(
     if outcome.status is Verdict.YES:
         return TriStatus(Verdict.YES, R_COLLAPSE_CERT, certificate=outcome.certificate)
     reason = R_BUDGET if outcome.budget_exhausted else R_INCONCLUSIVE
-    return TriStatus(Verdict.UNKNOWN, reason)
+    nodes = {"nodes_explored": outcome.nodes_explored}
+    return TriStatus(Verdict.UNKNOWN, reason, certificate=nodes)
 
 
 def facet_intersections(cx: SimplicialComplex) -> frozenset[int]:
@@ -235,13 +242,6 @@ def _check_code(code: Code) -> SimplicialComplex:
     return closure(code)
 
 
-# Ladder rungs that also settle collapsibility exactly: a graph collapses
-# to a point exactly when it is a tree, cones and collapse certificates
-# are collapsible by construction, and a collapsible complex is
-# contractible, so it has no nonzero reduced Betti number.
-_COLLAPSE_EXACT_RUNGS = (R_TREE_TEST, R_CONE_APEX, R_COLLAPSE_CERT, R_NONZERO_BETTI)
-
-
 # Ladder rungs whose status is a function of the link's shape alone: a
 # graph's counts and a Betti vector carry no labels.  A search's node count
 # depends on the memo it shares, so its statuses are never reused by shape.
@@ -251,22 +251,22 @@ _SHAPE_RUNGS = (R_TREE_TEST, R_NONZERO_BETTI)
 
 
 class _LinkTable:
-    """Each facet intersection of a code's complex with its link and verdict.
+    """Each facet intersection of a code's complex with its link's status.
 
     ``links`` has every facet intersection as a key, in (size, mask) order,
     and ``missing`` lists those that are not codewords, in the same order.
-    A link is decided on its first read, through :meth:`entry`, and kept as
-    the key's ``(link, status)`` value, so one table serves the mandatory
-    words, local goodness, local greatness and max-intersection
-    completeness of one code.  A quantifier that stops at its first No
-    leaves the links after it undecided.
+    A link is decided on its first read, through :meth:`entry`, and only
+    its contractibility status is kept as the key's value, so one table
+    serves the mandatory words, local goodness, local greatness and
+    max-intersection completeness of one code.  A quantifier that stops at
+    its first No leaves the links after it undecided.
 
     The status is decided once per link shape: the shape is read off the
     facets containing sigma, and a link whose shape already has a tree-test
-    or nonzero-Betti status takes a copy of it, with ``None`` for the link,
-    which is built only on a shape miss.  A link that reaches the collapse
-    search is built and decided on its own, since its node count depends
-    on the shared memo.
+    or nonzero-Betti status takes a copy of it without being built.  A link
+    that reaches the collapse search is built and decided on its own, since
+    its node count depends on the shared memo.  No link is kept after it
+    is decided.
     """
 
     def __init__(self, code: Code, budget: Budget, primes):
@@ -280,9 +280,9 @@ class _LinkTable:
         self.links = dict.fromkeys(sorted(facet_intersections(self.cx), key=_face_sort_key))
         self.missing = [sigma for sigma in self.links if sigma not in code.words]
 
-    def entry(self, sigma: int) -> tuple[SimplicialComplex | None, TriStatus]:
-        entry = self.links[sigma]
-        if entry is None:
+    def entry(self, sigma: int) -> TriStatus:
+        st = self.links[sigma]
+        if st is None:
             # the link's facets, in mask order: removing sigma's bits from
             # its supersets keeps their order
             facets = tuple(f ^ sigma for f in self.cx.facets if f & sigma == sigma)
@@ -293,16 +293,14 @@ class _LinkTable:
                 st = contractibility_status(lk, self.budget, self.memo, self.primes)
                 if st.reason in _SHAPE_RUNGS:
                     self.by_shape[shape] = st
-            else:
-                lk = None
-                if st.reason == R_TREE_TEST:
-                    # each link owns its certificate dict; a BettiVector is frozen
-                    st = TriStatus(st.value, st.reason, certificate=dict(st.certificate))
-            entry = self.links[sigma] = (lk, st)
-        return entry
+            elif st.reason == R_TREE_TEST:
+                # each link owns its certificate dict; a BettiVector is frozen
+                st = TriStatus(st.value, st.reason, certificate=dict(st.certificate))
+            self.links[sigma] = st
+        return st
 
     def mandatory(self) -> tuple[frozenset[int], frozenset[int]]:
-        statuses = [(sigma, self.entry(sigma)[1]) for sigma in self.links]
+        statuses = [(sigma, self.entry(sigma)) for sigma in self.links]
         found = frozenset(sigma for sigma, st in statuses if st.is_no)
         unknown = frozenset(sigma for sigma, st in statuses if st.is_unknown)
         return found, unknown
@@ -324,24 +322,24 @@ class _LinkTable:
         return self.vacuous_yes
 
     def locally_good(self) -> TriStatus:
-        return self._over_missing(lambda sigma: self.entry(sigma)[1])
+        return self._over_missing(self.entry)
 
     def locally_great(self) -> TriStatus:
         return self._over_missing(self._collapsibility)
 
     def _collapsibility(self, sigma: int) -> TriStatus:
-        """Is the link of sigma collapsible?  Searches only when the ladder did not settle it."""
-        lk, st = self.entry(sigma)
-        if st.reason in _COLLAPSE_EXACT_RUNGS:
-            value, nodes = st.value, 0
-        else:
-            outcome = is_collapsible(lk, "strict", self.budget, self.memo)
-            value, nodes = outcome.status, outcome.nodes_explored
-        if value is Verdict.NO:
-            return TriStatus(Verdict.NO, R_NOT_COLLAPSIBLE, certificate={"nodes_explored": nodes})
-        if value is Verdict.UNKNOWN:
+        """Is the link of sigma collapsible?  Read off its status, with no search.
+
+        A graph collapses exactly when it is a tree, a collapsible complex
+        is acyclic, and ``inconclusive`` is the search's own No.
+        """
+        st = self.entry(sigma)
+        if st.is_yes:
+            return TriStatus(Verdict.YES, R_COLLAPSE_CERT)
+        if st.reason == R_BUDGET:
             return TriStatus(Verdict.UNKNOWN, R_BUDGET)
-        return TriStatus(Verdict.YES, R_COLLAPSE_CERT)
+        nodes = st.certificate["nodes_explored"] if st.reason == R_INCONCLUSIVE else 0
+        return TriStatus(Verdict.NO, R_NOT_COLLAPSIBLE, certificate={"nodes_explored": nodes})
 
 
 def mandatory_codewords(
@@ -386,14 +384,13 @@ def is_locally_great(
     Quantifies over all nonempty faces of the complex outside the code,
     but walks only the facet intersections among them, in (size, mask)
     order: any other face has a cone link, which is collapsible, so no
-    face of the complex is enumerated.  A link the contractibility ladder
-    settled by a tree test, cone apex, nonzero Betti number or collapse
-    certificate keeps that verdict; the rest get the exhaustive search.
-    Within budget every answer is Yes or No; No carries the witness face
-    and, as ``nodes_explored``, the node count of the search that decided
-    its link in this run (0 when a tree test or nonzero Betti numbers
-    decided it, or after a memo hit).  Each link is decided and, if need
-    be, searched as it is reached, and the walk stops at the first No.
+    face of the complex is enumerated.  Each link's collapsibility is read
+    off its contractibility status, whose last rung is the exhaustive
+    search, so no link is searched twice.  Within budget every answer is
+    Yes or No; No carries the witness face and, as ``nodes_explored``, the
+    node count of the one search that decided its link in this run (0
+    when a tree test or nonzero Betti numbers decided it).  Each link is
+    decided as it is reached, and the walk stops at the first No.
     Yes carries ``all-links-verified`` when the code lacks some nonempty
     face of its complex, and ``nothing-to-check`` otherwise; the code has
     every such face exactly when, for each word, every nonempty face one

@@ -114,9 +114,7 @@ def _cert_json(cert):
         return {"kind": "face", "face": _face_json(cert)}
     if isinstance(cert, dict):
         return {"kind": "summary", **{k: cert[k] for k in sorted(cert)}}
-    if isinstance(cert, (tuple, list)):
-        return {"kind": "collapse-steps", "steps": _steps_json(cert)}
-    return {"kind": "opaque", "text": str(cert)}
+    return {"kind": "collapse-steps", "steps": _steps_json(cert)}
 
 
 def _steps_json(steps) -> list[dict]:
@@ -141,11 +139,9 @@ def _cert_text(cert) -> str:
         return f"apex {face_label(cert)}"
     if isinstance(cert, dict):
         return " ".join(f"{k}={cert[k]}" for k in sorted(cert))
-    if isinstance(cert, (tuple, list)):
-        if not cert:
-            return "already a point"
-        return "steps " + " ".join(str(s) for s in cert)
-    return str(cert)
+    if not cert:
+        return "already a point"
+    return "steps " + " ".join(str(s) for s in cert)
 
 
 def _tri_text(st: TriStatus) -> str:

@@ -43,6 +43,7 @@ from operator import and_, or_
 from .analysis import contractibility_status
 from .collapse import Budget
 from .complexes import (
+    MAX_FACE_ENUMERATION,
     MAX_VERTICES,
     Code,
     check_face_enumeration,
@@ -239,8 +240,10 @@ def good_cover_check(
     if not code.words:
         raise EmptyInput("the code has no words")
     words = code.words
-    # refuse a wide word before the table could hold 2^|w| entries
-    check_face_enumeration(closure(code).facets)
+    # refuse a wide word before the table could hold 2^|w| entries; every
+    # facet is a word, so only words over the cap need the closure
+    if sum(1 << w.bit_count() for w in words) > MAX_FACE_ENUMERATION:
+        check_face_enumeration(closure(code).facets)
     meets, joins = _meet_table(words)
     memo = {}
     by_meet: dict[int, TriStatus] = {}

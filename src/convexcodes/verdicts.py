@@ -42,8 +42,9 @@ class TriStatus:
 
     ``witness`` is the obstructing face on a No from a quantified check.
     ``certificate`` is the machine-checkable evidence for the verdict:
-    a tuple of collapse steps, a Betti vector, a graph summary, or None
-    when the reason tag alone tells the whole story.
+    a tuple of collapse steps, a Betti vector, a cone apex face, a dict
+    (a graph summary or a search's ``nodes_explored``), or None when the
+    reason tag alone tells the whole story.
     """
 
     value: Verdict

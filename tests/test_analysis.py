@@ -77,6 +77,8 @@ def test_contractibility_triangle_boundary():
 def test_contractibility_dunce_hat_unknown():
     st = contractibility_status(dunce_hat())
     assert st.value is Verdict.UNKNOWN and st.reason == R_INCONCLUSIVE
+    # the search proved it not collapsible: no free face at the first node
+    assert st.certificate == {"nodes_explored": 1}
 
 
 def test_contractibility_nonzero_betti_needs_no_search(monkeypatch):
@@ -110,6 +112,7 @@ def test_contractibility_budget_exhaustion():
     tri_path = SimplicialComplex.from_facets(7, [F("123"), F("345"), F("567")])
     tight = contractibility_status(tri_path, budget=Budget(nodes=1, greedy_restarts=0))
     assert tight.value is Verdict.UNKNOWN and tight.reason == R_BUDGET
+    assert tight.certificate == {"nodes_explored": 1}
     st = contractibility_status(tri_path)
     assert st.value is Verdict.YES and st.reason == R_COLLAPSE_CERT
 
@@ -240,8 +243,38 @@ def test_locally_great_gadget_over_dunce_hat():
     apex = face_of([dunce_hat().ambient_n + 1])
     st = is_locally_great(code)
     assert st.value is Verdict.NO and st.witness == apex
+    # the one search on the apex's link decided it after one node
+    assert st.certificate == {"nodes_explored": 1}
     good = is_locally_good(code)
     assert good.value is Verdict.UNKNOWN
+
+
+def test_classify_searches_each_link_at_most_once(monkeypatch):
+    from convexcodes import analysis
+
+    outcomes = []
+
+    def recording(*args, _fn=analysis.is_collapsible, **kw):
+        outcomes.append(_fn(*args, **kw))
+        return outcomes[-1]
+
+    monkeypatch.setattr(analysis, "is_collapsible", recording)
+    great = classify(cone_minus_apex(dunce_hat())).locally_great
+    assert len(outcomes) == 1 and outcomes[0].nodes_explored == 1
+    assert great.certificate == {"nodes_explored": 1}
+    # the apex's link is the three-triangle path: acyclic, no cone, and
+    # cut off by a one-node budget
+    tri_path = SimplicialComplex.from_facets(7, [F("123"), F("345"), F("567")])
+    code = cone_minus_apex(tri_path)
+    apex = face_of([8])
+    outcomes.clear()
+    report = classify(code, Budget(nodes=1, greedy_restarts=0))
+    assert len(outcomes) == 1
+    for st in (report.locally_good, report.locally_great):
+        assert (st.value, st.reason, st.witness) == (Verdict.UNKNOWN, R_BUDGET, apex)
+    assert report.mandatory_unknown == {apex}
+    report = classify(code)
+    assert report.locally_good.is_yes and report.locally_great.is_yes
 
 
 def test_locally_great_vacuous():
@@ -399,23 +432,32 @@ def test_classify_builds_and_decides_each_link_shape_once(monkeypatch):
     assert repeats > 0
 
 
-def test_link_table_matches_fresh_status_per_link():
-    from convexcodes.analysis import _LinkTable
+def test_link_table_matches_fresh_status_per_link(monkeypatch):
+    from convexcodes import analysis
     from convexcodes.homology import DEFAULT_PRIMES
     from convexcodes.instances import all_codes
 
+    built = []
+
+    def recording(cx, sigma, _fn=analysis.link):
+        built.append(sigma)
+        return _fn(cx, sigma)
+
+    monkeypatch.setattr(analysis, "link", recording)
     codes = list(all_codes(4)) + [random_code(n, s) for n in (5, 6) for s in range(50)]
     codes.append(twin_search_code())
     hits = 0
     for code in codes:
-        table = _LinkTable(code, Budget(), DEFAULT_PRIMES)
+        table = analysis._LinkTable(code, Budget(), DEFAULT_PRIMES)
         memo = {}
         certificates = []
         for sigma in table.links:
-            lk, st = table.entry(sigma)
+            built.clear()
+            st = table.entry(sigma)
+            # a link of a known shape is never built
+            hits += not built
             fresh = contractibility_status(link(table.cx, sigma), Budget(), memo)
             assert st == fresh, (code, sigma)
-            hits += lk is None
             # a vertex in every facet containing a facet intersection lies in
             # the intersection itself, so no such link is a cone
             assert fresh.reason != R_CONE_APEX

@@ -134,9 +134,39 @@ def test_links_output(files, capsys):
     assert run(["links", "--face", "23", files["intro-code"]]) == 0
     out = capsys.readouterr().out
     assert "contractible: No" in out and "components=2" in out
+    # the apex's link is the dunce hat: acyclic, and the one search it gets
+    # proves it not collapsible after a single node
     assert run(["links", "--face", "9", "--strict", files["gadget"]]) == 2
     out = capsys.readouterr().out
-    assert "Unknown" in out
+    assert "contractible: Unknown [inconclusive]; nodes_explored=1\n" in out
+    assert run(["links", "--json", "--face", "9", files["gadget"]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["contractible"]["certificate"] == {"kind": "summary", "nodes_explored": 1}
+
+
+def test_every_certificate_kind_renders():
+    from convexcodes.collapse import CollapseStep
+    from convexcodes.homology import BettiVector
+
+    steps = (CollapseStep(0b11, 0b111), CollapseStep(0b10, 0b110))
+    betti = BettiVector(2, (0, 1))
+    cases = [
+        (None, None, ""),
+        (betti, {"kind": "betti", "field": 2, "betti": [0, 1]},
+         "reduced betti (0, 1) over F_2"),
+        (0b101, {"kind": "face", "face": [1, 3]}, "apex 13"),
+        ({"vertices": 2, "edges": 0, "components": 2},
+         {"kind": "summary", "components": 2, "edges": 0, "vertices": 2},
+         "components=2 edges=0 vertices=2"),
+        ({"nodes_explored": 1}, {"kind": "summary", "nodes_explored": 1}, "nodes_explored=1"),
+        (steps, {"kind": "collapse-steps", "steps": [{"sigma": [1, 2], "tau": [1, 2, 3]},
+                                                     {"sigma": [2], "tau": [2, 3]}]},
+         "steps (12,123) (2,23)"),
+        ((), {"kind": "collapse-steps", "steps": []}, "already a point"),
+    ]
+    for cert, as_json, as_text in cases:
+        assert cli._cert_json(cert) == as_json
+        assert cli._cert_text(cert) == as_text
 
 
 def test_links_rejects_non_faces(files, capsys):

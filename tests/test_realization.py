@@ -111,6 +111,21 @@ def test_good_cover_check_refuses_a_wide_word():
         good_cover_check(code)
 
 
+def test_good_cover_check_builds_no_closure_under_the_cap(monkeypatch):
+    from convexcodes.instances import intro_code
+
+    def unbuilt(code):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(realization, "closure", unbuilt)
+    # the words of a code under the cap have at most 2^20 subsets, and so
+    # do its facets, which are words
+    st = good_cover_check(intro_code())
+    assert st.value is Verdict.YES
+    monkeypatch.undo()
+    assert st == good_cover_check(intro_code())
+
+
 def test_codeword_faces_are_cones_without_an_order_complex(monkeypatch):
     def unbuilt(faces):
         raise AssertionError("the order complex was built")

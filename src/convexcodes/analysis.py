@@ -26,7 +26,10 @@ relabel of their vertices have one shape, and the table decides each
 shape once: a later link of a known shape takes the stored status
 without being built.  Only links that need the collapse search are built
 and decided one by one, sharing one memo of the search's states and of
-the Betti numbers of each shape.
+Betti numbers.  The Betti numbers are computed on each link's
+strong-collapse core, once per core shape and prime: links of different
+shapes often share a core, most often the 3-cycle or the boundary of the
+tetrahedron.
 
 Contractibility itself is semidecidable, so the checker climbs a ladder of
 exact special cases (graphs, cones), then homology, then collapsibility,
@@ -51,7 +54,7 @@ from .complexes import (
     _face_sort_key,
 )
 from .errors import EmptyInput, InternalInconsistency, LabelOutOfRange, VoidComplex
-from .homology import DEFAULT_PRIMES, reduced_betti
+from .homology import DEFAULT_PRIMES, _padded, _strong_core, reduced_betti
 from .verdicts import (
     R_ALL_LINKS,
     R_BUDGET,
@@ -156,14 +159,20 @@ def contractibility_status(
     count as the certificate ``{"nodes_explored": n}``, so every rung but
     ``budget`` also settles collapsibility, and no second search is needed.
 
+    The Betti rung builds the complex's strong-collapse core once, before
+    the prime loop, and takes every prime's Betti numbers on it; the core
+    has the complex's homotopy type (see :mod:`convexcodes.homology`).
+
     ``memo`` is shared with the search, whose entries are keyed
     ``(mode, state)``.  The Betti rung adds entries keyed
-    ``("betti", p, shape)`` that hold the complex's :class:`BettiVector`
-    over F_p, where ``shape`` is the tuple of facets after relabelling the
-    vertices in the support to bits 0..k-1, keeping their order.  Reduced
-    Betti numbers do not see labels, so every complex of one shape reuses
-    one computation per prime, with the same certificate.  ``memo=None``
-    uses a fresh dict for this call.
+    ``("betti", p, shape)`` that hold the core's :class:`BettiVector` over
+    F_p, where ``shape`` is the tuple of the core's facets after
+    relabelling the vertices in its support to bits 0..k-1, keeping their
+    order.  Reduced Betti numbers do not see labels, so every complex
+    whose core has one shape reuses one computation per prime.  The
+    certificate is that vector padded with zeros to the complex's own
+    dimension, which is what ``reduced_betti`` gives the complex itself.
+    ``memo=None`` uses a fresh dict for this call.
     """
     if cx.is_void:
         raise VoidComplex("contractibility of the void complex is undefined")
@@ -183,14 +192,16 @@ def contractibility_status(
         apex = common & -common
         return TriStatus(Verdict.YES, R_CONE_APEX, certificate=apex)
     memo = {} if memo is None else memo
-    shape = _shape(cx.facets)
+    core = _strong_core(cx)
+    shape = _shape(core.facets)
     for p in primes:
         key = (_BETTI, p, shape)
         bv = memo.get(key)
         if bv is None:
-            bv = memo[key] = reduced_betti(cx, p)
+            bv = memo[key] = reduced_betti(core, p)
         if not bv.is_zero():
-            return TriStatus(Verdict.NO, R_NONZERO_BETTI, certificate=bv)
+            certificate = _padded(bv, cx.dimension())
+            return TriStatus(Verdict.NO, R_NONZERO_BETTI, certificate=certificate)
     outcome = is_collapsible(cx, "strict", budget, memo)
     if outcome.status is Verdict.YES:
         return TriStatus(Verdict.YES, R_COLLAPSE_CERT, certificate=outcome.certificate)
@@ -266,7 +277,9 @@ class _LinkTable:
     or nonzero-Betti status takes a copy of it without being built.  A link
     that reaches the collapse search is built and decided on its own, since
     its node count depends on the shared memo.  No link is kept after it
-    is decided.
+    is decided.  Below the table's link shapes, the shared memo keys Betti
+    numbers by the shape of each link's strong core, so a link of a new
+    shape whose core is known computes no homology.
     """
 
     def __init__(self, code: Code, budget: Budget, primes):

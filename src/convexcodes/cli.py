@@ -46,7 +46,14 @@ from .complexes import (
 )
 from .errors import ConvexCodesError, InternalInconsistency, ParseError, TooLarge
 from .fileformat import emit_code, emit_complex, parse_code, parse_complex, parse_face
-from .homology import DEFAULT_PRIMES, BettiVector, _check_prime, reduced_betti
+from .homology import (
+    DEFAULT_PRIMES,
+    BettiVector,
+    _check_prime,
+    _padded,
+    _strong_core,
+    reduced_betti,
+)
 from .instances import (
     c_n,
     connected_not_goodcover_code,
@@ -338,7 +345,8 @@ def _cmd_collapse(args) -> int:
 
 def _cmd_homology(args) -> int:
     cx = _read_complex(args.path)
-    vectors = {p: reduced_betti(cx, p) for p in args.primes}
+    core, dim = _strong_core(cx), cx.dimension()
+    vectors = {p: _padded(reduced_betti(core, p), dim) for p in args.primes}
     if args.json:
         _emit_json(
             {

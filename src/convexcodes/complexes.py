@@ -18,8 +18,8 @@ computed downstream, which is why most operations quietly skip it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import ClassVar, Iterable, Iterator
 
 from .errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
@@ -173,25 +173,32 @@ class SimplicialComplex:
 
     def dimension(self) -> int:
         """Largest facet size minus one; -1 for the void and empty-face complexes."""
-        if not self.facets:
-            return -1
-        return max(f.bit_count() for f in self.facets) - 1
+        dim = self._dim
+        if dim is None:
+            dim = max((f.bit_count() for f in self.facets), default=0) - 1
+            object.__setattr__(self, "_dim", dim)
+        return dim
 
     def __contains__(self, mask: Face) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
 
-    # Lazy caches, filled together at most once per instance.  They are
-    # plain class attributes, not dataclass fields, so equality, hashing
-    # and repr ignore them.  ``_offsets[s]`` is the index in ``_faces`` of
-    # the first face of size s, for s = 0..(largest facet size + 1).
+    # Lazy caches, each filled at most once per instance.  They are plain
+    # class attributes, not dataclass fields, so equality, hashing and repr
+    # ignore them.  ``_faces`` and ``_offsets`` are filled together:
+    # ``_offsets[s]`` is the index in ``_faces`` of the first face of size
+    # s, for s = 0..(largest facet size + 1).
+    _dim: ClassVar[int | None] = None
     _faces: ClassVar[tuple[Face, ...] | None] = None
     _offsets: ClassVar[tuple[int, ...] | None] = None
 
     def _all_faces(self) -> tuple[Face, ...]:
         """Every face in (size, mask) order, enumerated on first use.
 
-        Raises TooLarge, before enumerating anything, when the facets have
-        more than ``MAX_FACE_ENUMERATION`` subsets counted with repeats.
+        The faces are gathered once, then dealt by size into buckets in
+        ascending mask order, which gives the order and the offsets in one
+        pass.  Raises TooLarge, before enumerating anything, when the
+        facets have more than ``MAX_FACE_ENUMERATION`` subsets counted
+        with repeats.
         """
         faces = self._faces
         if faces is None:
@@ -204,20 +211,13 @@ class SimplicialComplex:
                     if sub == 0:
                         break
                     sub = (sub - 1) & f
-            faces = tuple(sorted(sorted(seen), key=int.bit_count))
-            offsets = tuple(
-                bisect_left(faces, size, key=int.bit_count)
-                for size in range(self.dimension() + 3)
-            )
+            by_size: list[list[Face]] = [[] for _ in range(self.dimension() + 2)]
+            for face in sorted(seen):
+                by_size[face.bit_count()].append(face)
+            faces = tuple(chain.from_iterable(by_size))
             object.__setattr__(self, "_faces", faces)
-            object.__setattr__(self, "_offsets", offsets)
+            object.__setattr__(self, "_offsets", (0, *accumulate(map(len, by_size))))
         return faces
-
-    def _size_offset(self, size: int) -> int:
-        """Index in the face order of the first face of at least this size."""
-        self._all_faces()
-        offsets = self._offsets
-        return offsets[min(max(size, 0), len(offsets) - 1)]
 
     def faces(self) -> Iterator[Face]:
         """All faces, the empty face included, in (size, mask) order."""
@@ -225,7 +225,11 @@ class SimplicialComplex:
 
     def faces_of_dim(self, k: int) -> list[Face]:
         """The k-faces sorted by mask value; k = -1 names the empty face."""
-        return list(self._all_faces()[self._size_offset(k + 1) : self._size_offset(k + 2)])
+        faces = self._all_faces()
+        offsets = self._offsets
+        if not 0 <= k + 1 < len(offsets) - 1:
+            return []
+        return list(faces[offsets[k + 1] : offsets[k + 2]])
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts of faces per dimension 0..dim; the empty face is not counted."""

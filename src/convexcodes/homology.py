@@ -28,6 +28,14 @@ single vertex has all-zero Betti numbers and needs no matrix.  The core's
 dimension can be smaller, so its Betti vector is padded with zeros up to
 the complex's dimension.  The core only shortens the computation: it is
 never a collapse certificate.
+
+A core is its own core, so a caller that wants several primes builds the
+core once and passes it to ``reduced_betti`` for each prime, padding each
+vector to the complex's dimension: ``is_acyclic``, the ``homology``
+command and the contractibility ladder all do.  The ladder keys its Betti
+memo by the core's shape, so within one ``classify`` the Betti numbers
+are computed once per core shape and prime, and links of different
+shapes with one core share them.
 """
 
 from __future__ import annotations
@@ -205,7 +213,9 @@ def _strong_core(cx: SimplicialComplex) -> SimplicialComplex:
     another vertex.  Deleting v keeps every facet without v, and ``f - v``
     for each facet f with v unless a facet without v contains it (two
     facets with v cannot, being incomparable).  Vertices are tried in
-    ascending order, pass after pass, so the core is reproducible.
+    ascending order, pass after pass, so the core is reproducible.  A
+    complex with no dominated vertex is returned as it is, so a core's
+    face cache serves every prime.
     """
     facets = cx.facets
     removed = True
@@ -228,7 +238,21 @@ def _strong_core(cx: SimplicialComplex) -> SimplicialComplex:
                     if f & v and not any((f ^ v) & ~g == 0 for g in keep)
                 ]
                 removed = True
+    if facets is cx.facets:
+        return cx
     return SimplicialComplex(cx.ambient_n, tuple(sorted(facets)))
+
+
+def _padded(bv: BettiVector, dim: int) -> BettiVector:
+    """``bv`` with zeros appended up to ``dim + 1`` entries.
+
+    A complex of dimension ``dim`` and its strong core have the same
+    Betti numbers, but the core's vector can be shorter.
+    """
+    missing = dim + 1 - len(bv.betti)
+    if missing <= 0:
+        return bv
+    return BettiVector(bv.field_characteristic, bv.betti + (0,) * missing)
 
 
 def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:
@@ -240,7 +264,8 @@ def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:
     collapses, so the core has the Betti numbers of ``cx`` over every
     field, and a core that is a single vertex needs no matrix at all.  The
     core's vector is padded with zeros to ``cx.dimension() + 1`` entries,
-    the length the complex itself gives.
+    the length the complex itself gives.  Given a core, it gives the core's
+    own vector after one pass that finds no dominated vertex.
     """
     if cx.is_void:
         raise VoidComplex("homology of the void complex is undefined")
@@ -256,7 +281,7 @@ def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:
     ranks = [rank_mod_p(boundary_matrix(core, k, p)) for k in range(core_dim + 1)]
     ranks.append(0)
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(core_dim + 1))
-    return BettiVector(p, betti + (0,) * (dim - core_dim))
+    return _padded(BettiVector(p, betti), dim)
 
 
 def is_acyclic(cx: SimplicialComplex, primes=DEFAULT_PRIMES) -> bool:
@@ -267,10 +292,12 @@ def is_acyclic(cx: SimplicialComplex, primes=DEFAULT_PRIMES) -> bool:
     never for Yes.  The empty-face complex is not acyclic: in the
     augmented chain complex its empty face is a cycle that bounds nothing,
     so its reduced Betti number in degree -1 is 1, though the vector
-    ``reduced_betti`` gives it, which starts at degree 0, is empty.
+    ``reduced_betti`` gives it, which starts at degree 0, is empty.  The
+    strong core is built once and shared by every prime.
     """
     if cx.is_void:
         raise VoidComplex("homology of the void complex is undefined")
     if cx.dimension() < 0:
         return False
-    return all(reduced_betti(cx, p).is_zero() for p in primes)
+    core = _strong_core(cx)
+    return all(reduced_betti(core, p).is_zero() for p in primes)

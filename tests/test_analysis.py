@@ -28,6 +28,7 @@ from convexcodes.complexes import (
     link,
 )
 from convexcodes.errors import VoidComplex
+from convexcodes.homology import BettiVector, _strong_core, is_acyclic, reduced_betti
 from convexcodes.instances import (
     broken_line_code,
     c_n,
@@ -37,6 +38,7 @@ from convexcodes.instances import (
     intro_code,
     random_code,
     random_complex,
+    rp2,
     two_edge_overlap_code,
 )
 from convexcodes.verdicts import (
@@ -49,6 +51,7 @@ from convexcodes.verdicts import (
     R_NOT_COLLAPSIBLE,
     R_TREE_TEST,
     R_VACUOUS,
+    TriStatus,
     Verdict,
 )
 
@@ -519,7 +522,7 @@ def relabel(cx, labels):
     return SimplicialComplex.from_facets(max(labels, default=1), facets)
 
 
-def test_classify_computes_betti_once_per_link_shape(monkeypatch):
+def test_classify_computes_betti_once_per_core_shape(monkeypatch):
     from convexcodes import analysis
 
     calls = []
@@ -529,8 +532,8 @@ def test_classify_computes_betti_once_per_link_shape(monkeypatch):
         return _fn(cx, p)
 
     monkeypatch.setattr(analysis, "reduced_betti", counting)
-    # every link of c_n(10) is a sphere, one shape per size of sigma; sizes
-    # 1..6 reach homology, which proves each one at p = 2
+    # every link of c_n(10) is a sphere, its own core, one shape per size of
+    # sigma; sizes 1..6 reach homology, which proves each one at p = 2
     first = classify(c_n(10))
     assert len(calls) == len(set(calls)) == 6
     assert first.mandatory_found == frozenset(range(1, (1 << 10) - 1))
@@ -538,6 +541,69 @@ def test_classify_computes_betti_once_per_link_shape(monkeypatch):
     calls.clear()
     assert classify(c_n(10)) == first
     assert len(calls) == 6
+
+
+def count_betti(monkeypatch):
+    """Record (facets, p) for each Betti computation the ladder makes."""
+    from convexcodes import analysis
+
+    calls = []
+
+    def counting(cx, p, _fn=analysis.reduced_betti):
+        calls.append((cx.facets, p))
+        return _fn(cx, p)
+
+    monkeypatch.setattr(analysis, "reduced_betti", counting)
+    return calls
+
+
+def test_links_with_one_core_share_one_betti_computation(monkeypatch):
+    calls = count_betti(monkeypatch)
+    # 4 is dominated, then 5 too: both cores are the 3-cycle 12, 13, 23
+    small = SimplicialComplex.from_facets(4, [F("12"), F("13"), F("234")])
+    large = SimplicialComplex.from_facets(5, [F("12"), F("13"), F("2345")])
+    memo = {}
+    statuses = [contractibility_status(cx, memo=memo) for cx in (small, large)]
+    assert calls == [((F("12"), F("13"), F("23")), 2)]
+    assert [st.reason for st in statuses] == [R_NONZERO_BETTI] * 2
+    # each certificate is padded to its own link's dimension
+    assert [st.certificate.betti for st in statuses] == [(0, 1, 0), (0, 1, 0, 0)]
+    for cx, st in zip((small, large), statuses):
+        assert st.certificate == reduced_betti(cx, 2)
+
+
+def test_dominated_vertex_over_rp2_keeps_its_primes_apart():
+    # coning the triangle 125 of RP^2 over a new vertex 7 adds a dominated
+    # vertex; the core is RP^2 again, whose homology differs over F_2 and F_3
+    plane = rp2()
+    cx = SimplicialComplex.from_facets(
+        7, [f | F("7") if f == F("125") else f for f in plane.facets])
+    assert _strong_core(cx).facets == plane.facets
+    assert reduced_betti(cx, 2).betti == (0, 1, 1, 0)
+    assert reduced_betti(cx, 3).betti == (0, 0, 0, 0)
+    assert is_acyclic(cx, (3, 5)) and not is_acyclic(cx)
+    memo = {}
+    st = contractibility_status(cx, memo=memo, primes=(3, 2))
+    assert st.reason == R_NONZERO_BETTI
+    assert st.certificate == BettiVector(2, (0, 1, 1, 0))
+    shape = _shape(plane.facets)
+    assert memo == {
+        ("betti", 3, shape): BettiVector(3, (0, 0, 0)),
+        ("betti", 2, shape): BettiVector(2, (0, 1, 1)),
+    }
+    # RP^2 itself finds both primes in the memo
+    assert contractibility_status(plane, memo=memo, primes=(3, 2)) == TriStatus(
+        Verdict.NO, R_NONZERO_BETTI, certificate=BettiVector(2, (0, 1, 1)))
+    assert len(memo) == 2
+
+
+def test_search_pool_betti_computations_are_pinned(monkeypatch):
+    # one classify per code at a 5,000-node budget; Betti numbers keyed by
+    # each link's shape, rather than its core's, took 650 computations
+    calls = count_betti(monkeypatch)
+    for i in range(64):
+        classify(random_code(7, i), Budget(nodes=5000))
+    assert len(calls) == 219
 
 
 def test_betti_memo_matches_fresh_homology(monkeypatch):

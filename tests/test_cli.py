@@ -207,6 +207,32 @@ def test_homology_command(files, capsys):
     assert data["betti"]["2"] == [0, 1, 1] and data["betti"]["3"] == [0, 0, 0]
 
 
+def test_homology_builds_the_core_once(capsys, tmp_path, monkeypatch):
+    from convexcodes import homology
+
+    reductions = []
+
+    def recording(cx, _fn=homology._strong_core):
+        core = _fn(cx)
+        if core is not cx:
+            reductions.append(cx.facets)
+        return core
+
+    monkeypatch.setattr(homology, "_strong_core", recording)
+    monkeypatch.setattr(cli, "_strong_core", recording)
+    # RP^2 with its triangle 125 coned over a dominated vertex 7
+    path = tmp_path / "rp2-plus.cx"
+    path.write_text("1257\n126\n134\n135\n146\n234\n236\n245\n356\n456\n")
+    assert run(["homology", str(path)]) == 0
+    assert len(reductions) == 1
+    # each vector is padded to the complex's dimension, 3
+    assert capsys.readouterr().out.splitlines() == [
+        "F_2: reduced betti (0, 1, 1, 0)",
+        "F_3: reduced betti (0, 0, 0, 0)",
+        "F_5: reduced betti (0, 0, 0, 0)",
+    ]
+
+
 def test_homology_large_prime_finishes(files, capsys, tmp_path):
     path = tmp_path / "tri.cx"
     path.write_text("12\n13\n23\n")

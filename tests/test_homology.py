@@ -178,6 +178,24 @@ def test_strongly_collapsible_complex_builds_no_matrix(monkeypatch):
     assert is_acyclic(strip, PRIMES)
 
 
+def test_is_acyclic_builds_the_core_once(monkeypatch):
+    reductions = []
+
+    def recording(cx, _fn=homology._strong_core):
+        core = _fn(cx)
+        if core is not cx:
+            reductions.append(cx.facets)
+        return core
+
+    monkeypatch.setattr(homology, "_strong_core", recording)
+    # the dunce hat with one triangle coned over a dominated vertex 9
+    hat = dunce_hat()
+    top = hat.facets[0]
+    cx = SimplicialComplex.from_facets(9, [f | 1 << 8 if f == top else f for f in hat.facets])
+    assert is_acyclic(cx, PRIMES + (7,))
+    assert reductions == [cx.facets]
+
+
 def test_simplex_boundary_is_its_own_core():
     for k in range(2, 8):
         sphere = simplex_boundary(k)

@@ -10,14 +10,16 @@ takes only the flags it reads, listed in ``_COMMANDS``: --budget and
 there is a verdict; any other flag is a usage error.  Exit status is 0
 unless --strict is given, in which case a No verdict exits 1 and an
 Unknown exits 2; usage errors exit 64, unreadable input exits 65, an
-internal failure of the package itself exits 70, and an output file that
-cannot be written exits 73.
+internal failure of the package itself exits 70, an output file that
+cannot be written exits 73, and a closed stdout (a reader that went away,
+as in ``| head``) exits 74.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -74,6 +76,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
 EXIT_CANTCREAT = 73
+EXIT_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,8 +308,11 @@ def _cmd_links(args) -> int:
             }
         )
     else:
-        facets = " ".join(face_label(f) for f in lk.facets)
-        print(f"link of {face_label(sigma)}: facets {facets or '(empty face only)'}")
+        if lk.facets == (0,):
+            facets = "(empty face only)"
+        else:
+            facets = " ".join(face_label(f) for f in lk.facets)
+        print(f"link of {face_label(sigma)}: facets {facets}")
         print(f"contractible: {_tri_text(st)}")
     return _strict_exit(args, st.value)
 
@@ -517,7 +523,14 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # Nobody reads the output any more: point stdout at devnull so the
+        # flush at shutdown does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IOERR
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -29,10 +29,10 @@ masks of each codeword's up- and down-sets.  The good-cover check reads
 every face's meet and join from one table, filled in a single pass over
 the subsets of each codeword, walks the table's own keys as the faces,
 and decides each meet that is not a cone once.  A cell of the open
-realization yields a word only when its positive part is a codeword, so
-the realized code is read off those cells alone.  A cell is never an
-object: the walk hands each one over as a ``(positive, zero)`` pair of
-int masks.
+realization yields a word only when its positive part is a codeword, and
+that word is the positive part, so the realized code is read off one
+chamber per codeword; only the closed realization walks every cell.  A
+cell is never an object, just a ``(positive, zero)`` pair of int masks.
 """
 
 from __future__ import annotations
@@ -129,21 +129,20 @@ def v_region_contractibility(
     return contractibility_status(order_complex(pieces), budget, memo, primes)
 
 
-def _walk_cells(n: int, visit, positives=None) -> list:
+def _walk_cells(n: int, visit) -> list:
     """Call ``visit(positive, zero)`` on every cell of an n-label arrangement.
 
     n is a code's ``ambient_n``, which :class:`Code` keeps at 1 or more.
-    ``positives``, ascending nonzero masks, limits the walk to the cells
-    with those positive parts; by default it takes them all.  Returns the
-    truthy results in (|zero|, positive, zero) order: the walk runs
-    through positive parts, then zero parts, in ascending order, and the
-    results are kept in one bucket per zero-part size.
+    Returns the truthy results in (|zero|, positive, zero) order: the
+    walk runs through positive parts, then zero parts, in ascending
+    order, and the results are kept in one bucket per zero-part size.
+    The closed realization is its one caller.
     """
     if n > MAX_CELL_AMBIENT:
         raise TooLarge(f"cell enumeration is capped at {MAX_CELL_AMBIENT} labels")
     full = (1 << n) - 1
     by_zero_size = [[] for _ in range(n)]
-    for pos in range(1, full + 1) if positives is None else positives:
+    for pos in range(1, full + 1):
         rest = full ^ pos
         z = 0
         while True:
@@ -188,32 +187,28 @@ def _closed_word(words: frozenset[int], pos: int, zero: int) -> int:
         sub = (sub - 1) & zero
 
 
-def _realized_code(code: Code, word_at, positives=None) -> Code:
-    """The nonzero words ``word_at(words, positive, zero)`` gives over the cells.
+def realized_code_from_U(code: Code) -> Code:
+    """Read the code back off the open realization, one chamber per codeword.
 
-    ``positives`` limits the cells as in :func:`_walk_cells`.
+    A cell (P, Z) yields P when P | S is a codeword for every S inside
+    Z, and nothing otherwise.  So it yields a word only if P itself
+    (S = {}) is a codeword, and that word is P, which P's own chamber
+    (P, {}) has already given.  Each nonzero codeword's chamber is read,
+    in ascending order, and no other cell; a walk of every cell meets the
+    chambers first, in that order, so the words come out as it gives them.
     """
     if not code.words:
         raise EmptyInput("the code has no words")
-    n = code.ambient_n
-    return Code(n, frozenset(_walk_cells(n, partial(word_at, code.words), positives)))
-
-
-def realized_code_from_U(code: Code) -> Code:
-    """Read the code back off the open realization, cell by cell.
-
-    A cell (P, Z) yields P when P | S is a codeword for every S inside
-    Z, and nothing otherwise; S = {} asks for P itself.  So only the
-    cells whose positive part is a nonzero codeword are read, those parts
-    taken in ascending order, and the words come out in the order a walk
-    of every cell gives.
-    """
-    return _realized_code(code, _open_word, sorted(code.nonempty_words()))
+    found = (_open_word(code.words, pos, 0) for pos in sorted(code.nonempty_words()))
+    return Code(code.ambient_n, frozenset(filter(None, found)))
 
 
 def realized_code_from_closures(code: Code) -> Code:
-    """Read the code off the closed realization; can exceed the input."""
-    return _realized_code(code, _closed_word)
+    """Read the code off the closed realization, cell by cell; can exceed the input."""
+    if not code.words:
+        raise EmptyInput("the code has no words")
+    n = code.ambient_n
+    return Code(n, frozenset(_walk_cells(n, partial(_closed_word, code.words))))
 
 
 def good_cover_check(

@@ -19,7 +19,7 @@ class Verdict(enum.Enum):
     NO = "No"
     UNKNOWN = "Unknown"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 

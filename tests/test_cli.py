@@ -1,6 +1,7 @@
 """Command-line front end: outputs, exit codes, JSON schema, determinism."""
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -126,7 +127,7 @@ def test_mandatory_output(files, capsys):
     assert "mandatory 4 [MISSING]" in out
 
 
-def test_links_output(files, capsys):
+def test_links_output(files, capsys, tmp_path):
     assert run(["links", "--face", "12", files["intro-code"]]) == 0
     out = capsys.readouterr().out
     assert "link of 12" in out and "contractible: Yes" in out
@@ -142,6 +143,13 @@ def test_links_output(files, capsys):
     assert run(["links", "--json", "--face", "9", files["gadget"]]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["contractible"]["certificate"] == {"kind": "summary", "nodes_explored": 1}
+    # two points: each one's link holds the empty face alone
+    two_points = tmp_path / "two-points.code"
+    two_points.write_text("n=2\n1\n2\n")
+    assert run(["links", "--face", "1", str(two_points)]) == 0
+    assert "link of 1: facets (empty face only)\n" in capsys.readouterr().out
+    assert run(["links", "--json", "--face", "1", str(two_points)]) == 0
+    assert json.loads(capsys.readouterr().out)["link_facets"] == [[]]
 
 
 def test_every_certificate_kind_renders():
@@ -469,3 +477,27 @@ def test_internal_failure_exits_70(files, capsys, monkeypatch, exc):
     assert run(["classify", "--strict", files["counterexample"]]) == 70
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_74(files):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes anything
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "convexcodes.cli", "classify", "--json", files["intro-code"]],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 74
+    assert "internal error" not in out.stderr and "Exception ignored" not in out.stderr
+
+
+def test_realize_verify_on_13_labels(capsys, tmp_path):
+    # past the 12-label cap on cell walks: the open realization walks none
+    path = tmp_path / "thirteen.code"
+    path.write_text("n=13\n1 2 13\n12 13\n13\n")
+    assert run(["realize-verify", "--strict", str(path)]) == 0
+    assert capsys.readouterr().out == "match: realization reproduces all 3 nonempty words\n"

@@ -1,6 +1,7 @@
 """The package's public names: exactly the pinned set, each one importable."""
 
 import importlib
+from pathlib import Path
 
 import convexcodes
 from convexcodes.complexes import SimplicialComplex
@@ -77,3 +78,15 @@ def test_removed_names_are_gone():
             assert not hasattr(mod, name), (mod.__name__, name)
     for method in ("num_faces", "vertices"):
         assert not hasattr(SimplicialComplex, method), method
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["No", "(2, 3)"] and lines[2].startswith("Yes ")
+    assert len(lines) == 3
+    cx = convexcodes.closure(scope["code"])
+    assert convexcodes.certifies_collapse(cx, scope["out"].certificate)

@@ -54,7 +54,7 @@ from .complexes import (
     _face_sort_key,
 )
 from .errors import EmptyInput, InternalInconsistency, LabelOutOfRange, VoidComplex
-from .homology import DEFAULT_PRIMES, _padded, _strong_core, reduced_betti
+from .homology import DEFAULT_PRIMES, _check_primes, _padded, _strong_core, reduced_betti
 from .verdicts import (
     R_ALL_LINKS,
     R_BUDGET,
@@ -173,6 +173,13 @@ def contractibility_status(
     certificate is that vector padded with zeros to the complex's own
     dimension, which is what ``reduced_betti`` gives the complex itself.
     ``memo=None`` uses a fresh dict for this call.
+
+    A prime is checked only when its Betti numbers are first computed, so
+    a non-prime raises ValueError only on a complex that reaches the Betti
+    rung.  This runs once per link shape or cover region, and every caller
+    in the package has checked its primes already: the link table behind
+    ``classify``, ``mandatory_codewords`` and the two local predicates,
+    ``good_cover_check``, and the ``links`` command's --primes parser.
     """
     if cx.is_void:
         raise VoidComplex("contractibility of the void complex is undefined")
@@ -280,16 +287,19 @@ class _LinkTable:
     is decided.  Below the table's link shapes, the shared memo keys Betti
     numbers by the shape of each link's strong core, so a link of a new
     shape whose core is known computes no homology.
+
+    Every prime is checked when the table is built, so a non-prime raises
+    ValueError whatever the links are.
     """
 
     def __init__(self, code: Code, budget: Budget, primes):
+        self.primes = _check_primes(primes)
         self.code = code
         self.cx = _check_code(code)
         self.budget = budget
         self.memo = {}
         self.by_shape = {}
         self.vacuous_yes = None
-        self.primes = primes
         self.links = dict.fromkeys(sorted(facet_intersections(self.cx), key=_face_sort_key))
         self.missing = [sigma for sigma in self.links if sigma not in code.words]
 

@@ -13,6 +13,16 @@ Unknown exits 2; usage errors exit 64, unreadable input exits 65, an
 internal failure of the package itself exits 70, an output file that
 cannot be written exits 73, and a closed stdout (a reader that went away,
 as in ``| head``) exits 74.
+
+Each analysis command is a handler in ``_COMMANDS``.  A handler takes the
+parsed arguments and its input, already read as a code or a complex, and
+returns ``(json_body, text_lines, verdicts)``: the fields its JSON report
+adds, the lines of its human report, and the verdicts --strict reads
+(none for homology, which has no --strict).  One driver, ``_analyze``,
+does the rest for every command: it reads the file, adds
+``schema_version`` and the ``input`` block of a code or the ``facets``
+block of a complex to the JSON body, prints the JSON or the lines, and
+turns the verdicts into the exit status.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from .fileformat import emit_code, emit_complex, parse_code, parse_complex, pars
 from .homology import (
     DEFAULT_PRIMES,
     BettiVector,
-    _check_prime,
+    _check_primes,
     _padded,
     _strong_core,
     reduced_betti,
@@ -93,14 +103,6 @@ def _read_text(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConvexCodesError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_code(path: str) -> Code:
-    return parse_code(_read_text(path))
-
-
-def _read_complex(path: str) -> SimplicialComplex:
-    return parse_complex(_read_text(path))
 
 
 def _face_json(mask: int) -> list[int]:
@@ -165,7 +167,7 @@ def _tri_text(st: TriStatus) -> str:
 
 
 def _strict_exit(args, *verdicts: Verdict) -> int:
-    if not args.strict:
+    if not getattr(args, "strict", False):
         return EXIT_OK
     if any(v is Verdict.NO for v in verdicts):
         return EXIT_NO
@@ -185,13 +187,10 @@ def _budget(args) -> Budget:
 def _prime_list(text: str) -> tuple[int, ...]:
     """The --primes value: a nonempty comma-separated list of primes."""
     try:
-        primes = tuple(int(p) for p in text.split(","))
-        for p in primes:
-            _check_prime(p)
+        return _check_primes(int(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated list of primes") from exc
-    return primes
 
 
 def _node_budget(text: str) -> int:
@@ -220,101 +219,79 @@ def _timings(args, seconds: float):
     return {"total_s": round(seconds, 6)}
 
 
-def _cmd_classify(args) -> int:
-    code = _read_code(args.path)
+def _labels(masks) -> str:
+    return " ".join(face_label(f) for f in sorted(masks, key=_face_sort_key))
+
+
+def _cmd_classify(args, code: Code):
     t0 = time.perf_counter()
     report = classify(code, _budget(args), args.primes)
     dt = time.perf_counter() - t0
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": _input_json(code),
-                "sparsity": report.sparsity,
-                "max_intersection_complete": report.max_intersection_complete,
-                "locally_good": _tri_json(report.locally_good),
-                "locally_great": _tri_json(report.locally_great),
-                "mandatory": {
-                    "found": _faces_json(report.mandatory_found),
-                    "unknown": _faces_json(report.mandatory_unknown),
-                },
-                "timings": _timings(args, dt),
-            }
-        )
-    else:
-        n = code.ambient_n
-        print(f"code: {len(code.words)} words on {n} labels")
-        print(f"sparsity: {report.sparsity}")
-        print(f"max_intersection_complete: {str(report.max_intersection_complete).lower()}")
-        print(f"locally_good: {_tri_text(report.locally_good)}")
-        print(f"locally_great: {_tri_text(report.locally_great)}")
-        found = " ".join(face_label(f) for f in sorted(report.mandatory_found, key=_face_sort_key))
-        unknown = " ".join(face_label(f) for f in sorted(report.mandatory_unknown, key=_face_sort_key))
-        print(f"mandatory found: {found or '(none)'}")
-        print(f"mandatory unknown: {unknown or '(none)'}")
-        print(f"note: {report.implication_notes}")
-    return _strict_exit(args, report.locally_good.value, report.locally_great.value)
+    body = {
+        "sparsity": report.sparsity,
+        "max_intersection_complete": report.max_intersection_complete,
+        "locally_good": _tri_json(report.locally_good),
+        "locally_great": _tri_json(report.locally_great),
+        "mandatory": {
+            "found": _faces_json(report.mandatory_found),
+            "unknown": _faces_json(report.mandatory_unknown),
+        },
+        "timings": _timings(args, dt),
+    }
+    lines = [
+        f"code: {len(code.words)} words on {code.ambient_n} labels",
+        f"sparsity: {report.sparsity}",
+        f"max_intersection_complete: {str(report.max_intersection_complete).lower()}",
+        f"locally_good: {_tri_text(report.locally_good)}",
+        f"locally_great: {_tri_text(report.locally_great)}",
+        f"mandatory found: {_labels(report.mandatory_found) or '(none)'}",
+        f"mandatory unknown: {_labels(report.mandatory_unknown) or '(none)'}",
+        f"note: {report.implication_notes}",
+    ]
+    return body, lines, (report.locally_good.value, report.locally_great.value)
 
 
-def _cmd_mandatory(args) -> int:
-    code = _read_code(args.path)
+def _cmd_mandatory(args, code: Code):
     found, unknown = mandatory_codewords(code, _budget(args), primes=args.primes)
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": _input_json(code),
-                "mandatory": {
-                    "found": _faces_json(found),
-                    "unknown": _faces_json(unknown),
-                },
-            }
-        )
+    body = {"mandatory": {"found": _faces_json(found), "unknown": _faces_json(unknown)}}
+    lines = [f"mandatory {face_label(f)} [{'present' if f in code.words else 'MISSING'}]"
+             for f in sorted(found, key=_face_sort_key)]
+    lines += [f"undecided {face_label(f)}" for f in sorted(unknown, key=_face_sort_key)]
+    # the locally-good verdict: only a mandatory or undecided face the code
+    # lacks can obstruct it
+    if found - code.words:
+        verdict = Verdict.NO
     else:
-        for f in sorted(found, key=_face_sort_key):
-            marker = "present" if f in code.words else "MISSING"
-            print(f"mandatory {face_label(f)} [{marker}]")
-        for f in sorted(unknown, key=_face_sort_key):
-            print(f"undecided {face_label(f)}")
-        if not found and not unknown:
-            print("no mandatory codewords found")
-    missing = [f for f in found if f not in code.words]
-    verdict = Verdict.NO if missing else (Verdict.UNKNOWN if unknown else Verdict.YES)
-    return _strict_exit(args, verdict)
+        verdict = Verdict.UNKNOWN if unknown - code.words else Verdict.YES
+    return body, lines or ["no mandatory codewords found"], (verdict,)
 
 
-def _cmd_links(args) -> int:
-    code = _read_code(args.path)
+class _BadFace(Exception):
+    """A --face that names no nonempty face of the code's complex; exits 65.
+
+    The message is the whole stderr line.
+    """
+
+
+def _cmd_links(args, code: Code):
     cx = closure(code)
     try:
         sigma = parse_face(args.face, code.ambient_n)
     except ConvexCodesError as exc:
-        print(f"bad face: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise _BadFace(f"bad face: {exc}") from exc
     if sigma == 0 or sigma not in cx:
-        print(f"{args.face} is not a nonempty face of the code's complex", file=sys.stderr)
-        return EXIT_DATA
+        raise _BadFace(f"{args.face} is not a nonempty face of the code's complex")
     lk = link(cx, sigma)
     st = contractibility_status(lk, _budget(args), primes=args.primes)
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": _input_json(code),
-                "face": _face_json(sigma),
-                "in_code": sigma in code.words,
-                "link_facets": _faces_json(lk.facets),
-                "contractible": _tri_json(st),
-            }
-        )
-    else:
-        if lk.facets == (0,):
-            facets = "(empty face only)"
-        else:
-            facets = " ".join(face_label(f) for f in lk.facets)
-        print(f"link of {face_label(sigma)}: facets {facets}")
-        print(f"contractible: {_tri_text(st)}")
-    return _strict_exit(args, st.value)
+    body = {
+        "face": _face_json(sigma),
+        "in_code": sigma in code.words,
+        "link_facets": _faces_json(lk.facets),
+        "contractible": _tri_json(st),
+    }
+    facets = "(empty face only)" if lk.facets == (0,) else " ".join(map(face_label, lk.facets))
+    lines = [f"link of {face_label(sigma)}: facets {facets}", f"contractible: {_tri_text(st)}"]
+    return body, lines, (st.value,)
 
 
 def _outcome_json(out: CollapseOutcome) -> dict:
@@ -326,87 +303,46 @@ def _outcome_json(out: CollapseOutcome) -> dict:
     }
 
 
-def _cmd_collapse(args) -> int:
-    cx = _read_complex(args.path)
+def _cmd_collapse(args, cx: SimplicialComplex):
     out = is_collapsible(cx, args.engine, _budget(args))
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "engine": args.engine,
-                "kernel": kernel_name(),
-                "facets": _faces_json(cx.facets),
-                "outcome": _outcome_json(out),
-            }
-        )
-    else:
-        print(f"collapsible: {out.status.value} (engine {args.engine}, "
-              f"{out.nodes_explored} nodes)")
-        if out.certificate is not None:
-            print(f"certificate: {_cert_text(out.certificate)}")
-        if out.budget_exhausted:
-            print("budget exhausted; raise --budget for a decision")
-    return _strict_exit(args, out.status)
+    body = {"engine": args.engine, "kernel": kernel_name(), "outcome": _outcome_json(out)}
+    lines = [f"collapsible: {out.status.value} (engine {args.engine}, "
+             f"{out.nodes_explored} nodes)"]
+    if out.certificate is not None:
+        lines.append(f"certificate: {_cert_text(out.certificate)}")
+    if out.budget_exhausted:
+        lines.append("budget exhausted; raise --budget for a decision")
+    return body, lines, (out.status,)
 
 
-def _cmd_homology(args) -> int:
-    cx = _read_complex(args.path)
+def _cmd_homology(args, cx: SimplicialComplex):
     core, dim = _strong_core(cx), cx.dimension()
     vectors = {p: _padded(reduced_betti(core, p), dim) for p in args.primes}
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "facets": _faces_json(cx.facets),
-                "betti": {str(p): list(v.betti) for p, v in vectors.items()},
-            }
-        )
-    else:
-        for p, v in vectors.items():
-            print(f"F_{p}: reduced betti {v.betti}")
-    return EXIT_OK
+    body = {"betti": {str(p): list(v.betti) for p, v in vectors.items()}}
+    return body, [f"F_{p}: reduced betti {v.betti}" for p, v in vectors.items()], ()
 
 
-def _cmd_realize_verify(args) -> int:
-    code = _read_code(args.path)
-    realized = realized_code_from_U(code)
+def _cmd_realize_verify(args, code: Code):
+    realized = realized_code_from_U(code).words
     expected = code.nonempty_words()
-    match = realized.words == expected
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": _input_json(code),
-                "match": match,
-                "realized": _faces_json(realized.words),
-                "missing": _faces_json(expected - realized.words),
-                "extra": _faces_json(realized.words - expected),
-            }
-        )
+    missing, extra = expected - realized, realized - expected
+    match = realized == expected
+    body = {
+        "match": match,
+        "realized": _faces_json(realized),
+        "missing": _faces_json(missing),
+        "extra": _faces_json(extra),
+    }
+    if match:
+        line = f"match: realization reproduces all {len(expected)} nonempty words"
     else:
-        if match:
-            print(f"match: realization reproduces all {len(expected)} nonempty words")
-        else:
-            missing = " ".join(face_label(f) for f in sorted(expected - realized.words, key=_face_sort_key))
-            extra = " ".join(face_label(f) for f in sorted(realized.words - expected, key=_face_sort_key))
-            print(f"mismatch: missing [{missing}] extra [{extra}]")
-    return _strict_exit(args, Verdict.YES if match else Verdict.NO)
+        line = f"mismatch: missing [{_labels(missing)}] extra [{_labels(extra)}]"
+    return body, [line], (Verdict.YES if match else Verdict.NO,)
 
 
-def _cmd_goodcover(args) -> int:
-    code = _read_code(args.path)
+def _cmd_goodcover(args, code: Code):
     st = good_cover_check(code, _budget(args), primes=args.primes)
-    if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "input": _input_json(code),
-                "good_cover": _tri_json(st),
-            }
-        )
-    else:
-        print(f"good_cover: {_tri_text(st)}")
-    return _strict_exit(args, st.value)
+    return {"good_cover": _tri_json(st)}, [f"good_cover: {_tri_text(st)}"], (st.value,)
 
 
 def _gen_c_n(arg) -> str:
@@ -418,7 +354,7 @@ def _gen_c_n(arg) -> str:
 def _gen_cone_minus_apex(arg) -> str:
     if arg is None:
         raise ValueError("cone-minus-apex needs a complex file argument")
-    return emit_code(cone_minus_apex(_read_complex(arg)))
+    return emit_code(cone_minus_apex(parse_complex(_read_text(arg))))
 
 
 # generate's instance names, in the order --help lists them, each with the
@@ -481,6 +417,7 @@ _COMPLEX_FILE = "complex file (one facet per line)"
 _DECIDES_LINKS = ("--budget", "--seed", "--primes", "--json", "--strict")
 
 # Each analysis command: handler, help, input file, and the flags it reads.
+# _analyze reads the file as a code or a complex by its help text.
 _COMMANDS = {
     "classify": (_cmd_classify, "full obstruction report for a code file", _CODE_FILE,
                  _DECIDES_LINKS + ("--deterministic",)),
@@ -499,16 +436,31 @@ _COMMANDS = {
 }
 
 
+def _analyze(args) -> int:
+    """Read the input, run the command's handler, print its report, give the exit status."""
+    handler, _, path_help, _ = _COMMANDS[args.command]
+    reads_code = path_help == _CODE_FILE
+    data = (parse_code if reads_code else parse_complex)(_read_text(args.path))
+    body, lines, verdicts = handler(args, data)
+    if args.json:
+        head = {"input": _input_json(data)} if reads_code else {"facets": _faces_json(data.facets)}
+        _emit_json({"schema_version": SCHEMA_VERSION, **head, **body})
+    else:
+        for line in lines:
+            print(line)
+    return _strict_exit(args, *verdicts)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="convexcodes",
                   description="local obstructions to convexity for neural codes")
     subs = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for cmd, (fn, what, path_help, flags) in _COMMANDS.items():
+    for cmd, (_, what, path_help, flags) in _COMMANDS.items():
         sub = subs.add_parser(cmd, help=what)
         sub.add_argument("path", help=path_help)
         for flag in flags:
             sub.add_argument(flag, **_FLAGS[flag])
-        sub.set_defaults(func=fn)
+        sub.set_defaults(func=_analyze)
 
     sub = subs.add_parser("generate", help="write a built-in example instance")
     sub.add_argument("name", choices=list(_INSTANCES))
@@ -526,6 +478,9 @@ def run(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at shutdown
         return status
+    except _BadFace as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DATA
     except BrokenPipeError:
         # Nobody reads the output any more: point stdout at devnull so the
         # flush at shutdown does not fail a second time.

@@ -99,6 +99,14 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"field characteristic {p} is not prime")
 
 
+def _check_primes(primes) -> tuple[int, ...]:
+    """``primes`` as a tuple, once ``_check_prime`` has passed each of them."""
+    primes = tuple(primes)
+    for p in primes:
+        _check_prime(p)
+    return primes
+
+
 def _is_prime(p: int) -> bool:
     """Deterministic primality for p below ``_MAX_PRIME``."""
     if p < 2:
@@ -293,8 +301,11 @@ def is_acyclic(cx: SimplicialComplex, primes=DEFAULT_PRIMES) -> bool:
     augmented chain complex its empty face is a cycle that bounds nothing,
     so its reduced Betti number in degree -1 is 1, though the vector
     ``reduced_betti`` gives it, which starts at degree 0, is empty.  The
-    strong core is built once and shared by every prime.
+    strong core is built once and shared by every prime.  Every prime is
+    checked first, so a non-prime raises ValueError even when an earlier
+    prime already settles the answer.
     """
+    primes = _check_primes(primes)
     if cx.is_void:
         raise VoidComplex("homology of the void complex is undefined")
     if cx.dimension() < 0:

@@ -52,7 +52,7 @@ from .complexes import (
     order_complex,
 )
 from .errors import EmptyInput, EmptyRegion, TooLarge
-from .homology import DEFAULT_PRIMES
+from .homology import DEFAULT_PRIMES, _check_primes
 from .verdicts import R_ALL_REGIONS, R_CONE_APEX, TriStatus, Verdict, for_all
 
 MAX_CELL_AMBIENT = 12
@@ -111,7 +111,9 @@ def v_region_contractibility(
     no complex is built.  Otherwise the order complex is built and
     decided.  Raises TooLarge, before building it, when an up-set with
     neither a least nor a greatest codeword has more codewords than the
-    complex has room for as vertices.
+    complex has room for as vertices.  Like :func:`contractibility_status`,
+    it checks a prime only when it computes Betti numbers over it: it runs
+    once per region, and ``good_cover_check`` checks its primes up front.
     """
     if tau == 0:
         raise EmptyInput("tau must be a nonempty face")
@@ -230,8 +232,10 @@ def good_cover_check(
     :func:`v_region_contractibility` once, at the first label set with
     that meet.  All regions share one search memo.  The walk is refused
     with TooLarge, like any face enumeration, when the facets have more
-    than 2^20 subsets in all.
+    than 2^20 subsets in all.  Every prime is checked first, so a
+    non-prime raises ValueError even when no region reaches homology.
     """
+    primes = _check_primes(primes)
     if not code.words:
         raise EmptyInput("the code has no words")
     words = code.words

@@ -670,3 +670,10 @@ def test_standalone_quantifiers_stop_early(monkeypatch):
     cx = closure(code)
     assert calls == [link(cx, sigma) for sigma in built_links(cx, facet_intersections(cx))]
     assert len(calls) == 5 and F("6") in found
+
+
+@pytest.mark.parametrize("decide", [classify, mandatory_codewords, is_locally_good])
+def test_link_table_checks_its_primes_up_front(decide):
+    # every link of c_4 is a graph, decided before any Betti number
+    with pytest.raises(ValueError, match="not prime"):
+        decide(c_n(4), primes=(4,))

@@ -127,6 +127,19 @@ def test_mandatory_output(files, capsys):
     assert "mandatory 4 [MISSING]" in out
 
 
+def test_mandatory_strict_exits_on_the_locally_good_verdict(files, capsys, tmp_path):
+    # the full cone code has every face, the apex 9 too, though the apex
+    # link (the dunce hat) stays undecided: the code is locally good
+    full = tmp_path / "full.code"
+    full.write_text(Path(files["gadget"]).read_text() + "9\n")
+    assert run(["classify", "--strict", str(full)]) == 0
+    assert "locally_good: Yes [nothing-to-check]" in capsys.readouterr().out.splitlines()
+    assert run(["mandatory", "--strict", str(full)]) == 0
+    assert "undecided 9" in capsys.readouterr().out.splitlines()
+    # the gadget lacks the undecided 9, so its locally-good verdict is Unknown
+    assert run(["mandatory", "--strict", files["gadget"]]) == 2
+
+
 def test_links_output(files, capsys, tmp_path):
     assert run(["links", "--face", "12", files["intro-code"]]) == 0
     out = capsys.readouterr().out
@@ -382,6 +395,20 @@ def test_each_command_takes_only_the_flags_it_reads(files, capsys, tmp_path, com
                 run(with_flag)
             assert e.value.code == 64, flag
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_every_json_report_carries_the_envelope(files, capsys, tmp_path, command):
+    assert run(_argv(files, tmp_path, command) + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["schema_version"] == "1"
+    if command in ("collapse", "homology"):
+        assert "input" not in report
+        assert report["facets"] == [[3, 4], [1, 2, 3]]
+    else:
+        assert "facets" not in report
+        code = parse_code(Path(files["intro-code"]).read_text())
+        assert report["input"]["word_count"] == len(code.words)
 
 
 @pytest.mark.parametrize("command", sorted(c for c in TAKES if "--budget" in TAKES[c]))

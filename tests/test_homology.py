@@ -125,6 +125,12 @@ def test_large_prime_is_fast():
     _check_prime(2**61 - 1)
 
 
+def test_is_acyclic_checks_every_prime():
+    # F_2 already shows RP^2 is not acyclic; the 4 after it is still refused
+    with pytest.raises(ValueError, match="not prime"):
+        is_acyclic(rp2(), (2, 4))
+
+
 def test_prime_above_supported_bound_rejected():
     with pytest.raises(ValueError, match="exceeds"):
         _check_prime(2**127 - 1)

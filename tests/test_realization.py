@@ -14,6 +14,7 @@ from convexcodes.instances import (
     broken_line_code,
     c_n,
     counterexample_code,
+    intro_code,
     naive_closure_trap_code,
     random_code,
     two_edge_overlap_code,
@@ -386,3 +387,9 @@ def test_ambient_one_neuron():
     code = Code(1, frozenset({1}))
     assert realized_code_from_U(code).words == frozenset({1})
     assert good_cover_check(code).value is Verdict.YES
+
+
+def test_good_cover_check_checks_its_primes_up_front():
+    # every region of the intro code is a cone, so no Betti number is computed
+    with pytest.raises(ValueError, match="not prime"):
+        good_cover_check(intro_code(), primes=(4,))

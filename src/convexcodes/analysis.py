@@ -24,26 +24,31 @@ code: each facet intersection with its link's contractibility status,
 decided on first read.  Links that differ only by an order-preserving
 relabel of their vertices have one shape, and the table decides each
 shape once: a later link of a known shape takes the stored status
-without being built.  Only links that need the collapse search are built
-and decided one by one, sharing one memo of the search's states and of
-Betti numbers.  The Betti numbers are computed on each link's
+without being built.  Links whose status carries labels or a node count,
+a collapse certificate or the search's verdict, are built and decided
+one by one, sharing one memo of the search's states and of Betti
+numbers.  The Betti numbers are computed on each link's
 strong-collapse core, once per core shape and prime: links of different
 shapes often share a core, most often the 3-cycle or the boundary of the
 tetrahedron.
 
 Contractibility itself is semidecidable, so the checker climbs a ladder of
-exact special cases (graphs, cones), then homology, then collapsibility,
-and answers Unknown only when every rung fails inside budget.  Homology
-comes before the search because it is cheap and collapsibility
-recognition is NP-complete: a nonzero reduced Betti number proves the link
-neither contractible nor collapsible, so no search runs on such a link.
+exact special cases (graphs, cones, a strong-collapse core that is a
+single vertex), then homology, then the collapse search, and answers
+Unknown only when every rung fails inside budget.  Recognising
+collapsibility is NP-complete, so the search comes last.  A strong
+collapse is a sequence of elementary collapses, so a link whose strong
+core is a point is collapsible, and the steps that prove it are written
+down with no search.  Homology comes before the search because it is
+cheap: a nonzero reduced Betti number proves the link neither
+contractible nor collapsible, so no search runs on such a link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .collapse import Budget, is_collapsible
+from .collapse import Budget, _is_point, _strong_collapse_steps, is_collapsible
 from .complexes import (
     Code,
     SimplicialComplex,
@@ -150,18 +155,23 @@ def contractibility_status(
 
     Strategy ladder, in order: exact graph test for dimension <= 1 (a graph
     is contractible exactly when it is a tree, and the empty and multi-point
-    complexes fail), cone detection (a vertex lying in every facet),
-    nonvanishing reduced homology over the given primes as a disproof, then
-    a collapsibility certificate from the greedy walks and the exhaustive
-    search.  A complex that is acyclic yet admits no collapse stays
+    complexes fail), cone detection (a vertex lying in every facet), a
+    strong-collapse core that is a single vertex, nonvanishing reduced
+    homology over the given primes as a disproof, then a collapsibility
+    certificate from the greedy walks and the exhaustive search.  The core
+    rung answers Yes [``collapse-certificate``] with the strong collapses
+    written out as strict elementary steps, lowest dominated vertex first,
+    so it needs neither homology nor a search, and its certificate replays
+    under :func:`~convexcodes.collapse.certifies_collapse` like the
+    search's.  A complex that is acyclic yet admits no collapse stays
     Unknown: ``inconclusive`` when the search proved it not collapsible,
     ``budget`` when the search was cut off.  Both carry the search's node
     count as the certificate ``{"nodes_explored": n}``, so every rung but
     ``budget`` also settles collapsibility, and no second search is needed.
 
-    The Betti rung builds the complex's strong-collapse core once, before
-    the prime loop, and takes every prime's Betti numbers on it; the core
-    has the complex's homotopy type (see :mod:`convexcodes.homology`).
+    The core is built once, before the core rung, and the Betti rung takes
+    every prime's Betti numbers on it; the core has the complex's homotopy
+    type (see :mod:`convexcodes.homology`).
 
     ``memo`` is shared with the search, whose entries are keyed
     ``(mode, state)``.  The Betti rung adds entries keyed
@@ -176,7 +186,8 @@ def contractibility_status(
 
     A prime is checked only when its Betti numbers are first computed, so
     a non-prime raises ValueError only on a complex that reaches the Betti
-    rung.  This runs once per link shape or cover region, and every caller
+    rung: like the tree and cone rungs, the core rung checks no prime.
+    This runs once per link shape or cover region, and every caller
     in the package has checked its primes already: the link table behind
     ``classify``, ``mandatory_codewords`` and the two local predicates,
     ``good_cover_check``, and the ``links`` command's --primes parser.
@@ -200,6 +211,9 @@ def contractibility_status(
         return TriStatus(Verdict.YES, R_CONE_APEX, certificate=apex)
     memo = {} if memo is None else memo
     core = _strong_core(cx)
+    if _is_point(core.facets):
+        steps = _strong_collapse_steps(cx.facets)
+        return TriStatus(Verdict.YES, R_COLLAPSE_CERT, certificate=steps)
     shape = _shape(core.facets)
     for p in primes:
         key = (_BETTI, p, shape)
@@ -261,8 +275,9 @@ def _check_code(code: Code) -> SimplicialComplex:
 
 
 # Ladder rungs whose status is a function of the link's shape alone: a
-# graph's counts and a Betti vector carry no labels.  A search's node count
-# depends on the memo it shares, so its statuses are never reused by shape.
+# graph's counts and a Betti vector carry no labels.  A collapse certificate
+# names the link's own vertices, and a search's node count depends on the
+# memo it shares, so their statuses are never reused by shape.
 # No facet-intersection link is a cone: a vertex in every facet containing
 # sigma lies in the intersection of those facets, which is sigma itself.
 _SHAPE_RUNGS = (R_TREE_TEST, R_NONZERO_BETTI)
@@ -282,8 +297,9 @@ class _LinkTable:
     The status is decided once per link shape: the shape is read off the
     facets containing sigma, and a link whose shape already has a tree-test
     or nonzero-Betti status takes a copy of it without being built.  A link
-    that reaches the collapse search is built and decided on its own, since
-    its node count depends on the shared memo.  No link is kept after it
+    decided by a collapse certificate or the search is built and decided
+    on its own, since its steps carry its labels and its node count
+    depends on the shared memo.  No link is kept after it
     is decided.  Below the table's link shapes, the shared memo keys Betti
     numbers by the shape of each link's strong core, so a link of a new
     shape whose core is known computes no homology.

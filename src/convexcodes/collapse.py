@@ -13,6 +13,8 @@ walks, then an exhaustive backtracking search over step choices, so a No is
 a theorem (every branch explored), a Yes carries a replayable step sequence
 ending at a single point, and Unknown happens only when the node budget
 runs out.  This module is the package's only search kernel, in pure Python.
+It also writes out, as strict steps, a strong collapse down to a point,
+which the contractibility ladder gives as a certificate with no search.
 
 States are tuples of facet masks sorted ascending, and candidate steps are
 tried in (|sigma|, sigma) order.  The memo table maps ``(mode, state)`` to
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .complexes import SimplicialComplex, face_label
-from .errors import IllegalStep, VoidComplex
+from .errors import IllegalStep, InternalInconsistency, VoidComplex
 from .verdicts import Verdict
 
 MODES = ("collapse", "generalized", "strict")
@@ -256,6 +258,42 @@ def _certificate(state, mode, table) -> tuple[CollapseStep, ...]:
         _, s, t = table[(mode, state)]
         steps.append(CollapseStep(s, t))
         state = _apply_step(state, s, t)
+    return tuple(steps)
+
+
+def _strong_collapse_steps(facets) -> tuple[CollapseStep, ...]:
+    """Strict steps that delete dominated vertices until a single point is left.
+
+    Vertex v is dominated when the meet of the facets containing v holds a
+    vertex w other than v; the lowest such v is deleted first, with the
+    lowest such w.  Each facet f containing v, lowest first, is collapsed
+    by the step (f - w, f): a facet containing f - w contains v, hence w,
+    hence f, so f is the only one.  The new facets containing v still
+    contain w, so the steps go on until v is gone: deleting v is a strong
+    collapse, written out as elementary ones.  A complex whose strong core
+    is not a point raises InternalInconsistency, so no certificate is
+    given that fails to replay.
+    """
+    state = tuple(sorted(facets))
+    steps = []
+    while not _is_point(state):
+        support = 0
+        for f in state:
+            support |= f
+        w = 0
+        while support and not w:
+            v = support & -support
+            support ^= v
+            meet = -1
+            for f in state:
+                if f & v:
+                    meet &= f
+            w = (meet ^ v) & -(meet ^ v)
+        if not w:
+            raise InternalInconsistency("the strong collapse stopped short of a point")
+        while f := next((f for f in state if f & v), 0):
+            steps.append(CollapseStep(f ^ w, f))
+            state = _apply_step(state, f ^ w, f)
     return tuple(steps)
 
 

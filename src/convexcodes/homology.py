@@ -24,10 +24,11 @@ deletion is a strong collapse, which is a sequence of elementary
 collapses (Barmak and Minian, "Strong homotopy types, nerves and
 collapses", DCG 2012), so the core has the homotopy type, and every
 reduced Betti number over every field, of the complex.  A core that is a
-single vertex has all-zero Betti numbers and needs no matrix.  The core's
-dimension can be smaller, so its Betti vector is padded with zeros up to
-the complex's dimension.  The core only shortens the computation: it is
-never a collapse certificate.
+single vertex has all-zero Betti numbers and needs no matrix; the
+contractibility ladder never asks for them, since it writes the strong
+collapses out as elementary ones and gives them as a collapse
+certificate.  The core's dimension can be smaller, so its Betti vector
+is padded with zeros up to the complex's dimension.
 
 A core is its own core, so a caller that wants several primes builds the
 core once and passes it to ``reduced_betti`` for each prime, padding each
@@ -92,7 +93,13 @@ _MAX_PRIME = 3_317_044_064_679_887_385_961_981
 
 
 def _check_prime(p: int) -> None:
-    """Raise ValueError unless p is a prime below ``_MAX_PRIME``."""
+    """Raise ValueError unless p is an int and a prime below ``_MAX_PRIME``.
+
+    A float such as 3.0 would pass the primality test and then fail
+    inside modular arithmetic, so it is refused here.
+    """
+    if not isinstance(p, int):
+        raise ValueError(f"field characteristic {p!r} is not an integer")
     if p >= _MAX_PRIME:
         raise ValueError(f"field characteristic {p} exceeds the supported bound {_MAX_PRIME}")
     if not _is_prime(p):

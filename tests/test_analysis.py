@@ -18,7 +18,13 @@ from convexcodes.analysis import (
     is_locally_great,
     mandatory_codewords,
 )
-from convexcodes.collapse import MODES, Budget, CollapseOutcome
+from convexcodes.collapse import (
+    MODES,
+    Budget,
+    CollapseOutcome,
+    _strong_collapse_steps,
+    certifies_collapse,
+)
 from convexcodes.complexes import (
     Code,
     SimplicialComplex,
@@ -27,7 +33,7 @@ from convexcodes.complexes import (
     face_of,
     link,
 )
-from convexcodes.errors import VoidComplex
+from convexcodes.errors import InternalInconsistency, VoidComplex
 from convexcodes.homology import BettiVector, _strong_core, is_acyclic, reduced_betti
 from convexcodes.instances import (
     broken_line_code,
@@ -109,15 +115,89 @@ def test_classify_random_code_8_1_is_fast():
     assert great.witness == 1
 
 
+def searched_complex():
+    """Facets 124 1345 246 346 156 2356: its own strong core, acyclic and no
+    cone, so only the search decides it; it collapses in 17 nodes."""
+    return random_complex(6, 749, max_facets=8)
+
+
 def test_contractibility_budget_exhaustion():
-    # path of three triangles joined at cut vertices: contractible but
-    # neither a cone nor decidable inside a one-node search budget
-    tri_path = SimplicialComplex.from_facets(7, [F("123"), F("345"), F("567")])
-    tight = contractibility_status(tri_path, budget=Budget(nodes=1, greedy_restarts=0))
+    # contractible, but neither a cone, nor a point after strong collapses,
+    # nor decidable inside a one-node search budget
+    cx = searched_complex()
+    tight = contractibility_status(cx, budget=Budget(nodes=1, greedy_restarts=0))
     assert tight.value is Verdict.UNKNOWN and tight.reason == R_BUDGET
     assert tight.certificate == {"nodes_explored": 1}
-    st = contractibility_status(tri_path)
+    st = contractibility_status(cx)
     assert st.value is Verdict.YES and st.reason == R_COLLAPSE_CERT
+
+
+def point_core(cx):
+    core = _strong_core(cx).facets
+    return len(core) == 1 and core[0].bit_count() == 1
+
+
+def no_search(monkeypatch):
+    from convexcodes import analysis
+
+    def refuse(*args, **kw):
+        raise AssertionError("a link whose strong core is a point is never searched")
+
+    monkeypatch.setattr(analysis, "is_collapsible", refuse)
+
+
+def test_point_cores_are_certified_without_a_search(monkeypatch):
+    no_search(monkeypatch)
+    points = certified = 0
+    for n in range(5, 9):
+        for seed in range(3000):
+            cx = random_complex(n, seed)
+            if not point_core(cx):
+                continue
+            points += 1
+            st = contractibility_status(cx)
+            assert st.value is Verdict.YES, (n, seed)
+            if st.reason == R_COLLAPSE_CERT:
+                certified += 1
+                assert certifies_collapse(cx, st.certificate), (n, seed)
+                assert all(step.tau.bit_count() == step.sigma.bit_count() + 1
+                           for step in st.certificate)
+    # the rest are trees or cones, decided on earlier rungs
+    assert (points, certified) == (9683, 809)
+
+
+def test_strong_collapse_steps_refuse_a_nonpoint_core():
+    with pytest.raises(InternalInconsistency):
+        _strong_collapse_steps(searched_complex().facets)
+
+
+def test_three_triangle_path_needs_no_search(monkeypatch):
+    no_search(monkeypatch)
+    tri_path = SimplicialComplex.from_facets(7, [F("123"), F("345"), F("567")])
+    tight = Budget(nodes=1, greedy_restarts=0)
+    st = contractibility_status(tri_path, budget=tight)
+    assert st.value is Verdict.YES and st.reason == R_COLLAPSE_CERT
+    assert certifies_collapse(tri_path, st.certificate)
+    report = classify(cone_minus_apex(tri_path), tight)
+    assert report.locally_good.is_yes and report.locally_great.is_yes
+
+
+def test_search_pool_searches_only_links_with_a_nonpoint_core(monkeypatch):
+    from convexcodes import analysis
+
+    searched = []
+
+    def recording(cx, *args, _fn=analysis.is_collapsible, **kw):
+        searched.append(cx)
+        return _fn(cx, *args, **kw)
+
+    monkeypatch.setattr(analysis, "is_collapsible", recording)
+    for i in range(64):
+        classify(random_code(7, i), Budget(nodes=5000))
+    # the other 69 links past the Betti rung have a point core and take a
+    # certificate instead
+    assert len(searched) == 4
+    assert not any(point_core(cx) for cx in searched)
 
 
 def test_contractibility_easy_yes():
@@ -265,11 +345,10 @@ def test_classify_searches_each_link_at_most_once(monkeypatch):
     great = classify(cone_minus_apex(dunce_hat())).locally_great
     assert len(outcomes) == 1 and outcomes[0].nodes_explored == 1
     assert great.certificate == {"nodes_explored": 1}
-    # the apex's link is the three-triangle path: acyclic, no cone, and
-    # cut off by a one-node budget
-    tri_path = SimplicialComplex.from_facets(7, [F("123"), F("345"), F("567")])
-    code = cone_minus_apex(tri_path)
-    apex = face_of([8])
+    # the apex's link is acyclic, no cone, its own strong core, and cut
+    # off by a one-node budget
+    code = cone_minus_apex(searched_complex())
+    apex = face_of([7])
     outcomes.clear()
     report = classify(code, Budget(nodes=1, greedy_restarts=0))
     assert len(outcomes) == 1
@@ -374,9 +453,10 @@ def test_classify_two_edge_overlap():
 def built_links(cx, sigmas):
     """The faces whose links a link table builds and decides, in (size, mask) order.
 
-    A link is built when no earlier link had its shape, or when the
-    collapse search decides it; a tree test or nonzero Betti numbers
-    decide every later link of the same shape with no link built.
+    A link is built when no earlier link had its shape, or when a
+    collapse certificate or the search decides it; a tree test or nonzero
+    Betti numbers decide every later link of the same shape with no link
+    built.
     """
     shapes, built = set(), []
     for sigma in sorted(sigmas, key=lambda f: (f.bit_count(), f)):
@@ -599,11 +679,13 @@ def test_dominated_vertex_over_rp2_keeps_its_primes_apart():
 
 def test_search_pool_betti_computations_are_pinned(monkeypatch):
     # one classify per code at a 5,000-node budget; Betti numbers keyed by
-    # each link's shape, rather than its core's, took 650 computations
+    # each link's shape, rather than its core's, took 650 computations.
+    # Links whose core is a point never reach the Betti loop, so that
+    # core's all-zero vectors are not computed.
     calls = count_betti(monkeypatch)
     for i in range(64):
         classify(random_code(7, i), Budget(nodes=5000))
-    assert len(calls) == 219
+    assert len(calls) == 186
 
 
 def test_betti_memo_matches_fresh_homology(monkeypatch):
@@ -630,15 +712,16 @@ def test_betti_memo_matches_fresh_homology(monkeypatch):
 
 
 def test_betti_and_search_entries_share_one_memo():
-    # acyclic, no cone: all three primes are computed, then the search runs
-    tri_path = SimplicialComplex.from_facets(7, [F("123"), F("345"), F("567")])
+    # acyclic, no cone, its own core: all three primes are computed, then
+    # the search runs
+    cx = searched_complex()
     memo = {}
-    st = contractibility_status(tri_path, memo=memo)
+    st = contractibility_status(cx, memo=memo)
     assert st.reason == R_COLLAPSE_CERT
     betti = {key for key in memo if key[0] == "betti"}
     assert {(len(key), key[1]) for key in betti} == {(3, 2), (3, 3), (3, 5)}
     assert all(len(key) == 2 and key[0] in MODES for key in memo.keys() - betti)
-    shifted = relabel(tri_path, range(2, 9))
+    shifted = relabel(cx, range(2, 8))
     assert contractibility_status(shifted, memo=memo).reason == R_COLLAPSE_CERT
     assert {key for key in memo if key[0] == "betti"} == betti
 
@@ -677,3 +760,9 @@ def test_link_table_checks_its_primes_up_front(decide):
     # every link of c_4 is a graph, decided before any Betti number
     with pytest.raises(ValueError, match="not prime"):
         decide(c_n(4), primes=(4,))
+
+
+def test_classify_rejects_a_float_prime():
+    # c_5's links reach the Betti rung, where 3.0 would fail inside rank_mod_p
+    with pytest.raises(ValueError, match="not an integer"):
+        classify(c_n(5), primes=(3.0,))

@@ -131,6 +131,12 @@ def test_is_acyclic_checks_every_prime():
         is_acyclic(rp2(), (2, 4))
 
 
+def test_is_acyclic_rejects_a_float_prime():
+    # 3.0 passes a primality test, then fails inside modular arithmetic
+    with pytest.raises(ValueError, match="not an integer"):
+        is_acyclic(rp2(), (3.0,))
+
+
 def test_prime_above_supported_bound_rejected():
     with pytest.raises(ValueError, match="exceeds"):
         _check_prime(2**127 - 1)

@@ -9,12 +9,14 @@ every geometric question reduces to sign bookkeeping over cells (P, Z):
 the locus where coordinates indexed by P are positive, by Z are zero, and
 the rest negative.
 
-Two facts get verified machine-exactly: the realized code read off the
-cells equals the input code minus the empty word, and each nonempty
+Two facts are settled exactly.  The realized code read off the cells is
+the input code minus the empty word: a one-line lemma (below) shows it,
+so reading it back checks nothing that could fail.  And each nonempty
 intersection of the cover sets is contractible exactly when the order
-complex of the codewords above the intersection's label set is.  The
-closed-set variant of the construction is also provided because it is
-wrong in an instructive way: it can grow extra codewords.
+complex of the codewords above the intersection's label set is, which is
+decided here.  The closed-set variant of the construction is also
+provided because it is wrong in an instructive way: it can grow extra
+codewords.
 
 Each cover intersection is decided by one rule.  Call the codewords
 containing a label set tau its up-set, the AND of the up-set its meet and
@@ -27,12 +29,15 @@ building anything.  Only an up-set with neither a least nor a greatest
 codeword goes to its order complex, with cover relations read off bit
 masks of each codeword's up- and down-sets.  The good-cover check reads
 every face's meet and join from one table, filled in a single pass over
-the subsets of each codeword, walks the table's own keys as the faces,
-and decides each meet that is not a cone once.  A cell of the open
+the subsets of each codeword, and walks the table's own keys as the
+faces.  A face whose meet was seen at an earlier face is skipped; at a
+meet's first face, a cone meet is passed over with nothing built, and
+only a meet that is not a cone is decided, once.  A cell of the open
 realization yields a word only when its positive part is a codeword, and
 that word is the positive part, so the realized code is read off one
-chamber per codeword; only the closed realization walks every cell.  A
-cell is never an object, just a ``(positive, zero)`` pair of int masks.
+chamber per codeword and is the code's nonzero words by construction;
+only the closed realization walks every cell.  A cell is never an
+object, just a ``(positive, zero)`` pair of int masks.
 """
 
 from __future__ import annotations
@@ -53,23 +58,23 @@ from .complexes import (
 )
 from .errors import EmptyInput, EmptyRegion, TooLarge
 from .homology import DEFAULT_PRIMES, _check_primes
-from .verdicts import R_ALL_REGIONS, R_CONE_APEX, TriStatus, Verdict, for_all
+from .verdicts import R_ALL_REGIONS, R_CONE_APEX, R_VACUOUS, TriStatus, Verdict, for_all
 
 MAX_CELL_AMBIENT = 12
 
 
-def _cone_region(words: frozenset[int], meet: int, join: int) -> TriStatus | None:
+def _cone_apex(words: frozenset[int], meet: int, join: int) -> int | None:
     """The cone rule for an up-set with this meet (AND) and join (OR).
 
     A meet that is a codeword is the up-set's least element, a join that
     is a codeword its greatest; either lies on every maximal chain, so the
-    order complex is a cone over it.  Gives Yes with reason ``cone-apex``
-    and that codeword as certificate, the meet first, else None.
+    order complex is a cone over it.  Gives that codeword, the meet first,
+    or None when neither is a codeword.
     """
     if meet in words:
-        return TriStatus(Verdict.YES, R_CONE_APEX, certificate=meet)
+        return meet
     if join in words:
-        return TriStatus(Verdict.YES, R_CONE_APEX, certificate=join)
+        return join
     return None
 
 
@@ -120,9 +125,9 @@ def v_region_contractibility(
     pieces = [w for w in code.words if tau & ~w == 0]
     if not pieces:
         raise EmptyRegion(f"no codeword contains {face_label(tau)}")
-    st = _cone_region(code.words, reduce(and_, pieces), reduce(or_, pieces))
-    if st is not None:
-        return st
+    apex = _cone_apex(code.words, reduce(and_, pieces), reduce(or_, pieces))
+    if apex is not None:
+        return TriStatus(Verdict.YES, R_CONE_APEX, certificate=apex)
     if len(pieces) > MAX_VERTICES:
         raise TooLarge(
             f"{len(pieces)} codewords contain the face {face_label(tau)}, more than "
@@ -192,12 +197,14 @@ def _closed_word(words: frozenset[int], pos: int, zero: int) -> int:
 def realized_code_from_U(code: Code) -> Code:
     """Read the code back off the open realization, one chamber per codeword.
 
-    A cell (P, Z) yields P when P | S is a codeword for every S inside
-    Z, and nothing otherwise.  So it yields a word only if P itself
-    (S = {}) is a codeword, and that word is P, which P's own chamber
-    (P, {}) has already given.  Each nonzero codeword's chamber is read,
-    in ascending order, and no other cell; a walk of every cell meets the
-    chambers first, in that order, so the words come out as it gives them.
+    The result is the code's nonzero words, by a one-line lemma: a cell
+    (P, Z) yields P when P | S is a codeword for every S inside Z, and
+    nothing otherwise, so it yields a word only if P itself (S = {}) is a
+    codeword, and that word is P, which P's own chamber (P, {}) gives.
+    So ``realize-verify``'s match holds by construction.  Each nonzero
+    codeword's chamber is read, in ascending order, and no other cell; a
+    walk of every cell meets the chambers first, in that order, so the
+    words come out as it gives them.
     """
     if not code.words:
         raise EmptyInput("the code has no words")
@@ -227,13 +234,18 @@ def good_cover_check(
     their meet (their AND), so label sets with the same meet share one
     verdict.  Every meet and join (OR) comes from one table, filled by a
     single pass over the subsets of each codeword, and the table's keys
-    are the label sets walked.  A meet or a join that is a codeword is a
-    cone apex, Yes straight from the table; any other meet is decided by
-    :func:`v_region_contractibility` once, at the first label set with
-    that meet.  All regions share one search memo.  The walk is refused
-    with TooLarge, like any face enumeration, when the facets have more
-    than 2^20 subsets in all.  Every prime is checked first, so a
-    non-prime raises ValueError even when no region reaches homology.
+    are the label sets walked.  A label set whose meet was seen before is
+    skipped.  At a meet's first label set, a meet or a join that is a
+    codeword is a cone apex, read off the table, and the region is
+    contractible with no status built for it; any other meet is decided
+    by :func:`v_region_contractibility` there, once.  Yes carries
+    ``all-regions-verified`` when there is a nonempty label set to walk,
+    even if every region is a cone, and ``nothing-to-check`` when the
+    code has no nonzero word.  All regions share one search memo.  The
+    walk is refused with TooLarge, like any face enumeration, when the
+    facets have more than 2^20 subsets in all.  Every prime is checked
+    first, so a non-prime raises ValueError even when no region reaches
+    homology.
     """
     primes = _check_primes(primes)
     if not code.words:
@@ -245,17 +257,19 @@ def good_cover_check(
         check_face_enumeration(closure(code).facets)
     meets, joins = _meet_table(words)
     memo = {}
-    by_meet: dict[int, TriStatus] = {}
 
-    def region(tau: int) -> TriStatus:
-        meet = meets[tau]
-        st = by_meet.get(meet)
-        if st is None:
-            st = _cone_region(words, meet, joins[tau])
-            if st is None:
-                st = v_region_contractibility(code, tau, budget, memo, primes)
-            by_meet[meet] = st
-        return st
+    def undecided():
+        seen = set()
+        for tau in sorted(sorted(meets), key=int.bit_count):
+            meet = meets[tau]
+            if meet not in seen:
+                seen.add(meet)
+                if _cone_apex(words, meet, joins[tau]) is None:
+                    yield tau, v_region_contractibility(code, tau, budget, memo, primes)
 
-    faces = sorted(sorted(meets), key=int.bit_count)
-    return for_all(((tau, region(tau)) for tau in faces), R_ALL_REGIONS)
+    st = for_all(undecided(), R_ALL_REGIONS)
+    # for_all walks no region when every one is a cone; only a code with
+    # no nonempty face has nothing to check
+    if st.reason == R_VACUOUS and meets:
+        return TriStatus(Verdict.YES, R_ALL_REGIONS)
+    return st

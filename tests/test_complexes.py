@@ -165,6 +165,19 @@ def test_link_requires_member_face():
     cx = closure(C(3, "12"))
     with pytest.raises(NotAFace):
         link(cx, F("13"))
+    void = SimplicialComplex.void(3)
+    for sigma in range(8):
+        with pytest.raises(NotAFace):
+            link(void, sigma)
+
+
+def test_link_facets_come_out_in_mask_order():
+    for seed in range(30):
+        cx = random_complex(6, seed)
+        assert link(cx, 0) == cx
+        for sigma in cx.faces():
+            facets = link(cx, sigma).facets
+            assert facets == tuple(sorted(facets)), (seed, sigma)
 
 
 def test_link_matches_definition():

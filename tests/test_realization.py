@@ -28,7 +28,7 @@ from convexcodes.realization import (
     realized_code_from_closures,
     v_region_contractibility,
 )
-from convexcodes.verdicts import R_ALL_REGIONS, R_CONE_APEX, R_TREE_TEST, Verdict
+from convexcodes.verdicts import R_ALL_REGIONS, R_CONE_APEX, R_TREE_TEST, R_VACUOUS, Verdict
 
 from . import oracles
 
@@ -302,6 +302,15 @@ def test_good_cover_examples():
     assert good_cover_check(counterexample_code()).value is Verdict.YES
 
 
+def test_good_cover_yes_reasons():
+    # a code with no nonempty face has nothing to check
+    st = good_cover_check(Code(3, words(0)))
+    assert (st.value, st.reason) == (Verdict.YES, R_VACUOUS)
+    # every region is a cone, so no region is decided, yet there were faces
+    st = good_cover_check(Code(3, words("1", "2")))
+    assert (st.value, st.reason) == (Verdict.YES, R_ALL_REGIONS)
+
+
 def test_good_cover_negative_witness_is_sound():
     hits = 0
     for seed in range(60):
@@ -336,6 +345,9 @@ def test_good_cover_matches_locally_good_small():
 
 def _parity_corpus():
     yield from all_codes(3)
+    # no nonempty face: the walk has nothing to check
+    yield Code(3, frozenset({0}))
+    yield Code(5, frozenset({0}))
     yield from (code for i, code in enumerate(all_codes(4)) if i % 8 == 0)
     for n in (5, 6):
         for seed in range(60):

@@ -37,7 +37,6 @@ from .complexes import (
     face_of,
     link,
     order_complex,
-    restriction,
 )
 from .errors import ConvexCodesError
 from .homology import BettiVector, boundary_matrix, is_acyclic, reduced_betti
@@ -88,7 +87,6 @@ __all__ = [
     "realized_code_from_closures",
     "reduced_betti",
     "replay_certificate",
-    "restriction",
     "v_region_contractibility",
     "__version__",
 ]

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: classify, mandatory, links, collapse, homology,
-realize-verify, goodcover, generate.  Analysis commands read a code or
-complex file (see :mod:`convexcodes.fileformat` for the format), print a
-human report or, with --json, a versioned machine report.  Each command
-takes only the flags it reads, listed in ``_COMMANDS``: --budget and
+Subcommands: classify, mandatory, links, collapse, homology, goodcover,
+generate.  Analysis commands read a code or complex file (see
+:mod:`convexcodes.fileformat` for the format), print a human report or,
+with --json, a versioned machine report.  The human report braces every
+face on 10 or more labels (``{1,12}``), a form --face reads back.  Each
+command takes only the flags it reads, listed in ``_COMMANDS``: --budget and
 --seed where a collapse search runs, --primes where homology runs,
 --deterministic where the report has wall-clock fields, and --strict where
 there is a verdict; any other flag is a usage error.  Exit status is 0
@@ -74,7 +75,7 @@ from .instances import (
     intro_code,
     rp2,
 )
-from .realization import good_cover_check, realized_code_from_U
+from .realization import good_cover_check
 from .verdicts import TriStatus, Verdict
 
 SCHEMA_VERSION = "1"
@@ -142,25 +143,26 @@ def _tri_json(st: TriStatus) -> dict:
     }
 
 
-def _cert_text(cert) -> str:
+def _cert_text(cert, n: int) -> str:
     if cert is None:
         return ""
     if isinstance(cert, BettiVector):
         return f"reduced betti {cert.betti} over F_{cert.field_characteristic}"
     if isinstance(cert, int):
-        return f"apex {face_label(cert)}"
+        return f"apex {face_label(cert, n)}"
     if isinstance(cert, dict):
         return " ".join(f"{k}={cert[k]}" for k in sorted(cert))
     if not cert:
         return "already a point"
-    return "steps " + " ".join(str(s) for s in cert)
+    return "steps " + " ".join(f"({face_label(s.sigma, n)},{face_label(s.tau, n)})"
+                               for s in cert)
 
 
-def _tri_text(st: TriStatus) -> str:
+def _tri_text(st: TriStatus, n: int) -> str:
     out = f"{st.value.value} [{st.reason}]"
     if st.witness is not None:
-        out += f" witness {face_label(st.witness)}"
-    detail = _cert_text(st.certificate)
+        out += f" witness {face_label(st.witness, n)}"
+    detail = _cert_text(st.certificate, n)
     if detail:
         out += f"; {detail}"
     return out
@@ -219,8 +221,8 @@ def _timings(args, seconds: float):
     return {"total_s": round(seconds, 6)}
 
 
-def _labels(masks) -> str:
-    return " ".join(face_label(f) for f in sorted(masks, key=_face_sort_key))
+def _labels(masks, n: int) -> str:
+    return " ".join(face_label(f, n) for f in sorted(masks, key=_face_sort_key))
 
 
 def _cmd_classify(args, code: Code):
@@ -238,14 +240,15 @@ def _cmd_classify(args, code: Code):
         },
         "timings": _timings(args, dt),
     }
+    n = code.ambient_n
     lines = [
-        f"code: {len(code.words)} words on {code.ambient_n} labels",
+        f"code: {len(code.words)} words on {n} labels",
         f"sparsity: {report.sparsity}",
         f"max_intersection_complete: {str(report.max_intersection_complete).lower()}",
-        f"locally_good: {_tri_text(report.locally_good)}",
-        f"locally_great: {_tri_text(report.locally_great)}",
-        f"mandatory found: {_labels(report.mandatory_found) or '(none)'}",
-        f"mandatory unknown: {_labels(report.mandatory_unknown) or '(none)'}",
+        f"locally_good: {_tri_text(report.locally_good, n)}",
+        f"locally_great: {_tri_text(report.locally_great, n)}",
+        f"mandatory found: {_labels(report.mandatory_found, n) or '(none)'}",
+        f"mandatory unknown: {_labels(report.mandatory_unknown, n) or '(none)'}",
         f"note: {report.implication_notes}",
     ]
     return body, lines, (report.locally_good.value, report.locally_great.value)
@@ -254,9 +257,10 @@ def _cmd_classify(args, code: Code):
 def _cmd_mandatory(args, code: Code):
     found, unknown = mandatory_codewords(code, _budget(args), primes=args.primes)
     body = {"mandatory": {"found": _faces_json(found), "unknown": _faces_json(unknown)}}
-    lines = [f"mandatory {face_label(f)} [{'present' if f in code.words else 'MISSING'}]"
+    n = code.ambient_n
+    lines = [f"mandatory {face_label(f, n)} [{'present' if f in code.words else 'MISSING'}]"
              for f in sorted(found, key=_face_sort_key)]
-    lines += [f"undecided {face_label(f)}" for f in sorted(unknown, key=_face_sort_key)]
+    lines += [f"undecided {face_label(f, n)}" for f in sorted(unknown, key=_face_sort_key)]
     # the locally-good verdict: only a mandatory or undecided face the code
     # lacks can obstruct it
     if found - code.words:
@@ -289,8 +293,11 @@ def _cmd_links(args, code: Code):
         "link_facets": _faces_json(lk.facets),
         "contractible": _tri_json(st),
     }
-    facets = "(empty face only)" if lk.facets == (0,) else " ".join(map(face_label, lk.facets))
-    lines = [f"link of {face_label(sigma)}: facets {facets}", f"contractible: {_tri_text(st)}"]
+    n = code.ambient_n
+    facets = ("(empty face only)" if lk.facets == (0,)
+              else " ".join(face_label(f, n) for f in lk.facets))
+    lines = [f"link of {face_label(sigma, n)}: facets {facets}",
+             f"contractible: {_tri_text(st, n)}"]
     return body, lines, (st.value,)
 
 
@@ -309,7 +316,7 @@ def _cmd_collapse(args, cx: SimplicialComplex):
     lines = [f"collapsible: {out.status.value} (engine {args.engine}, "
              f"{out.nodes_explored} nodes)"]
     if out.certificate is not None:
-        lines.append(f"certificate: {_cert_text(out.certificate)}")
+        lines.append(f"certificate: {_cert_text(out.certificate, cx.ambient_n)}")
     if out.budget_exhausted:
         lines.append("budget exhausted; raise --budget for a decision")
     return body, lines, (out.status,)
@@ -322,27 +329,10 @@ def _cmd_homology(args, cx: SimplicialComplex):
     return body, [f"F_{p}: reduced betti {v.betti}" for p, v in vectors.items()], ()
 
 
-def _cmd_realize_verify(args, code: Code):
-    realized = realized_code_from_U(code).words
-    expected = code.nonempty_words()
-    missing, extra = expected - realized, realized - expected
-    match = realized == expected
-    body = {
-        "match": match,
-        "realized": _faces_json(realized),
-        "missing": _faces_json(missing),
-        "extra": _faces_json(extra),
-    }
-    if match:
-        line = f"match: realization reproduces all {len(expected)} nonempty words"
-    else:
-        line = f"mismatch: missing [{_labels(missing)}] extra [{_labels(extra)}]"
-    return body, [line], (Verdict.YES if match else Verdict.NO,)
-
-
 def _cmd_goodcover(args, code: Code):
     st = good_cover_check(code, _budget(args), primes=args.primes)
-    return {"good_cover": _tri_json(st)}, [f"good_cover: {_tri_text(st)}"], (st.value,)
+    return ({"good_cover": _tri_json(st)}, [f"good_cover: {_tri_text(st, code.ambient_n)}"],
+            (st.value,))
 
 
 def _gen_c_n(arg) -> str:
@@ -408,7 +398,7 @@ _FLAGS = {
     "--deterministic": dict(action="store_true",
                             help="suppress wall-clock fields for reproducible output"),
     "--strict": dict(action="store_true", help="exit 1 on a No verdict, 2 on Unknown"),
-    "--face": dict(required=True, help="face, e.g. 23 or '2 3'"),
+    "--face": dict(required=True, help="face, e.g. 23, '2 3' or '{2,3}'"),
     "--engine": dict(choices=list(ENGINES), default="strict", help="collapse step vocabulary"),
 }
 
@@ -425,8 +415,6 @@ _COMMANDS = {
                   _DECIDES_LINKS),
     "goodcover": (_cmd_goodcover, "good-cover verdict for a code file", _CODE_FILE,
                   _DECIDES_LINKS),
-    "realize-verify": (_cmd_realize_verify, "check the open realization reproduces the code",
-                       _CODE_FILE, ("--json", "--strict")),
     "links": (_cmd_links, "link of one face and its contractibility", _CODE_FILE,
               ("--face",) + _DECIDES_LINKS),
     "collapse": (_cmd_collapse, "collapsibility of a complex file", _COMPLEX_FILE,

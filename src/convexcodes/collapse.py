@@ -1,12 +1,11 @@
 """Elementary collapses and the exact collapsibility decision.
 
 A step (sigma, tau) is legal when tau is the only facet containing sigma;
-applying it deletes every face containing sigma.  Three step vocabularies,
-named by mode, are supported: ``generalized`` also allows sigma = tau
-(plain facet deletion), ``collapse`` requires sigma strictly below tau, and
-``strict`` additionally pins sigma one vertex short of tau.  The
-``collapse`` and ``strict`` vocabularies decide the same collapsibility
-question, which the test suite checks by running both engines side by side.
+applying it deletes every face containing sigma.  Two step vocabularies,
+the ``ENGINES``, are supported: ``collapse`` requires sigma strictly below
+tau, and ``strict`` additionally pins sigma one vertex short of tau.  Both
+decide the same collapsibility question, which the test suite checks by
+running the two side by side.
 
 ``is_collapsible`` first runs ``Budget.greedy_restarts`` seeded random
 walks, then an exhaustive backtracking search over step choices, so a No is
@@ -17,7 +16,7 @@ It also writes out, as strict steps, a strong collapse down to a point,
 which the contractibility ladder gives as a certificate with no search.
 
 States are tuples of facet masks sorted ascending, and candidate steps are
-tried in (|sigma|, sigma) order.  The memo table maps ``(mode, state)`` to
+tried in (|sigma|, sigma) order.  The memo table maps ``(engine, state)`` to
 ``(decision, sigma, tau)``: decision 1 entries carry a winning first step,
 so a certificate is rebuilt by replaying through the table; decision 0
 entries record a fully explored dead end.  A caller may share one table
@@ -41,7 +40,6 @@ from .complexes import SimplicialComplex, face_label
 from .errors import IllegalStep, InternalInconsistency, VoidComplex
 from .verdicts import Verdict
 
-MODES = ("collapse", "generalized", "strict")
 ENGINES = ("collapse", "strict")
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -95,9 +93,9 @@ class CollapseOutcome:
     budget_exhausted: bool
 
 
-def _check_mode(name: str) -> None:
-    if name not in MODES:
-        raise ValueError(f"unknown step mode {name!r}; pick from {list(MODES)}")
+def _check_engine(name: str) -> None:
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}; pick from {ENGINES}")
 
 
 def _is_point(state) -> bool:
@@ -115,7 +113,6 @@ def _unique(state, sigma, ti) -> bool:
 def _free_pairs(state, mode):
     """All legal (sigma, tau) steps of a state, sorted by (|sigma|, sigma)."""
     strict = mode == "strict"
-    proper = mode != "generalized"
     pairs = []
     for ti, t in enumerate(state):
         if strict:
@@ -127,7 +124,7 @@ def _free_pairs(state, mode):
                 if s and _unique(state, s, ti):
                     pairs.append((s, t))
         else:
-            sub = (t - 1) & t if proper else t
+            sub = (t - 1) & t
             while sub:
                 if _unique(state, sub, ti):
                     pairs.append((sub, t))
@@ -298,13 +295,13 @@ def _strong_collapse_steps(facets) -> tuple[CollapseStep, ...]:
 
 
 def free_pairs(cx: SimplicialComplex, mode: str = "collapse") -> list[CollapseStep]:
-    """All legal steps of the given mode, ordered by (|sigma|, sigma mask).
+    """All legal steps of the engine ``mode``, ordered by (|sigma|, sigma mask).
 
-    Each sigma is nonempty and contained in exactly one facet, which is the
-    returned tau.  The single point has no collapse-mode steps but one
-    generalized step (the point paired with itself).
+    ``mode`` is one of ``ENGINES``.  Each sigma is nonempty, strictly
+    below tau and contained in exactly one facet, which is the returned
+    tau, so a single point has no steps.
     """
-    _check_mode(mode)
+    _check_engine(mode)
     return [CollapseStep(s, t) for s, t in _free_pairs(tuple(cx.facets), mode)]
 
 
@@ -346,8 +343,7 @@ def is_collapsible(
     """
     if cx.is_void:
         raise VoidComplex("collapsibility of the void complex is undefined")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; pick from {ENGINES}")
+    _check_engine(engine)
     state = tuple(sorted(cx.facets))
     if _is_point(state):
         return CollapseOutcome(Verdict.YES, (), 0, False)

@@ -262,15 +262,6 @@ def link(cx: SimplicialComplex, sigma: Face) -> SimplicialComplex:
     return SimplicialComplex(cx.ambient_n, facets)
 
 
-def restriction(cx: SimplicialComplex, sigma: Face) -> SimplicialComplex:
-    """The subcomplex of faces contained in sigma (sigma need not be a face)."""
-    if cx.is_void:
-        return cx
-    return SimplicialComplex.from_facets(
-        cx.ambient_n, (f & sigma for f in cx.facets)
-    )
-
-
 def cone(cx: SimplicialComplex, apex: int) -> SimplicialComplex:
     """Join with a fresh apex vertex: every face gains an apex twin.
 

@@ -191,6 +191,12 @@ def emit_complex(cx: SimplicialComplex) -> str:
 
 
 def parse_face(token: str, n: int = 0) -> int:
-    """Read one face given on a command line, compact or separated form."""
-    kind, payload = _classify_token(token.strip(), 1)
+    """Read one face given on a command line; braces, as in ``{1,12}``, enclose whole labels."""
+    token = token.strip()
+    braced = len(token) > 1 and token[0] == "{" and token[-1] == "}"
+    if braced:
+        token = token[1:-1]
+    kind, payload = _classify_token(token, 1)
+    if braced and kind != "empty":
+        kind, payload = _INTEGER, ("separated", token.replace(",", " ").split())
     return _row_mask(kind, payload, n, 1)

@@ -201,10 +201,9 @@ def realized_code_from_U(code: Code) -> Code:
     (P, Z) yields P when P | S is a codeword for every S inside Z, and
     nothing otherwise, so it yields a word only if P itself (S = {}) is a
     codeword, and that word is P, which P's own chamber (P, {}) gives.
-    So ``realize-verify``'s match holds by construction.  Each nonzero
-    codeword's chamber is read, in ascending order, and no other cell; a
-    walk of every cell meets the chambers first, in that order, so the
-    words come out as it gives them.
+    Each nonzero codeword's chamber is read, in ascending order, and no
+    other cell; a walk of every cell meets the chambers first, in that
+    order, so the words come out as it gives them.
     """
     if not code.words:
         raise EmptyInput("the code has no words")
@@ -256,6 +255,8 @@ def good_cover_check(
     if sum(1 << w.bit_count() for w in words) > MAX_FACE_ENUMERATION:
         check_face_enumeration(closure(code).facets)
     meets, joins = _meet_table(words)
+    if not meets:
+        return TriStatus(Verdict.YES, R_VACUOUS)
     memo = {}
 
     def undecided():
@@ -267,9 +268,4 @@ def good_cover_check(
                 if _cone_apex(words, meet, joins[tau]) is None:
                     yield tau, v_region_contractibility(code, tau, budget, memo, primes)
 
-    st = for_all(undecided(), R_ALL_REGIONS)
-    # for_all walks no region when every one is a cone; only a code with
-    # no nonempty face has nothing to check
-    if st.reason == R_VACUOUS and meets:
-        return TriStatus(Verdict.YES, R_ALL_REGIONS)
-    return st
+    return for_all(undecided(), R_ALL_REGIONS)

@@ -72,16 +72,14 @@ def for_all(checks: Iterable[tuple[int, TriStatus]], yes_reason: str) -> TriStat
     checks after the first No never run.  No keeps the failing status's
     reason and certificate and names the face as witness; Unknown keeps
     the reason and witness of the first undecided face.  Yes carries
-    ``yes_reason``, or ``nothing-to-check`` when ``checks`` was empty.
+    ``yes_reason``; a caller with nothing to check decides that itself.
     """
     unknown = None
-    checked = False
     for face, st in checks:
-        checked = True
         if st.is_no:
             return TriStatus(Verdict.NO, st.reason, witness=face, certificate=st.certificate)
         if st.is_unknown and unknown is None:
             unknown = TriStatus(Verdict.UNKNOWN, st.reason, witness=face)
     if unknown is not None:
         return unknown
-    return TriStatus(Verdict.YES, yes_reason if checked else R_VACUOUS)
+    return TriStatus(Verdict.YES, yes_reason)

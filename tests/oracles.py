@@ -173,9 +173,7 @@ def free_pairs_by_definition(cx, mode):
         if len(holders) != 1:
             continue
         tau = holders[0]
-        if mode == "generalized":
-            ok = True
-        elif mode == "collapse":
+        if mode == "collapse":
             ok = sigma < tau
         else:
             ok = len(sigma) == len(tau) - 1
@@ -278,12 +276,13 @@ def naive_good_cover(code, budget=None, primes=(2, 3, 5)):
     the search memo shared; the faces are quantified in (size, mask)
     order.  No cone rule and no sharing between faces: the reference for
     both in ``convexcodes.realization``.  The order complexes come from
-    :func:`naive_order_complex`, not the package's.
+    :func:`naive_order_complex`, not the package's.  A code with no
+    nonempty face has nothing to check.
     """
     from convexcodes.analysis import contractibility_status
     from convexcodes.collapse import Budget
     from convexcodes.complexes import closure
-    from convexcodes.verdicts import R_ALL_REGIONS, for_all
+    from convexcodes.verdicts import R_ALL_REGIONS, R_VACUOUS, TriStatus, Verdict, for_all
 
     budget = budget or Budget()
     memo = {}
@@ -292,7 +291,10 @@ def naive_good_cover(code, budget=None, primes=(2, 3, 5)):
         upset = [w for w in code.words if tau & ~w == 0]
         return contractibility_status(naive_order_complex(upset), budget, memo, primes)
 
-    return for_all(((tau, region(tau)) for tau in closure(code).faces() if tau), R_ALL_REGIONS)
+    faces = [tau for tau in closure(code).faces() if tau]
+    if not faces:
+        return TriStatus(Verdict.YES, R_VACUOUS)
+    return for_all(((tau, region(tau)) for tau in faces), R_ALL_REGIONS)
 
 
 @lru_cache(maxsize=4096)

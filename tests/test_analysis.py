@@ -19,7 +19,7 @@ from convexcodes.analysis import (
     mandatory_codewords,
 )
 from convexcodes.collapse import (
-    MODES,
+    ENGINES,
     Budget,
     CollapseOutcome,
     _strong_collapse_steps,
@@ -720,7 +720,7 @@ def test_betti_and_search_entries_share_one_memo():
     assert st.reason == R_COLLAPSE_CERT
     betti = {key for key in memo if key[0] == "betti"}
     assert {(len(key), key[1]) for key in betti} == {(3, 2), (3, 3), (3, 5)}
-    assert all(len(key) == 2 and key[0] in MODES for key in memo.keys() - betti)
+    assert all(len(key) == 2 and key[0] in ENGINES for key in memo.keys() - betti)
     shifted = relabel(cx, range(2, 8))
     assert contractibility_status(shifted, memo=memo).reason == R_COLLAPSE_CERT
     assert {key for key in memo if key[0] == "betti"} == betti

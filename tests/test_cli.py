@@ -187,7 +187,31 @@ def test_every_certificate_kind_renders():
     ]
     for cert, as_json, as_text in cases:
         assert cli._cert_json(cert) == as_json
-        assert cli._cert_text(cert) == as_text
+        assert cli._cert_text(cert, 3) == as_text
+    # on 10 or more labels every face is braced
+    assert cli._cert_text(0b101, 12) == "apex {1,3}"
+    assert cli._cert_text(steps, 12) == "steps ({1,2},{1,2,3}) ({2},{2,3})"
+
+
+def test_faces_printed_on_12_labels_read_back_through_face(capsys, tmp_path):
+    # the face {1,2} and the label 12 print apart, and links reads each back
+    path = tmp_path / "twelve.code"
+    path.write_text("n=12\n1 2 3\n1 2 4\n3 4 12\n1 3\n1 4\n2 3\n2 4\n3\n4\n12\n")
+    assert run(["classify", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "locally_good: No [tree-test] witness {1,2}; components=2 edges=0 vertices=2" in out
+    assert run(["mandatory", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == ["{3}", "{4}", "{1,2}", "{1,2,3}",
+                                                  "{1,2,4}", "{3,4,12}"]
+    for line in lines:
+        label = line.split()[1]
+        assert run(["links", "--face", label, str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(f"link of {label}: facets ")
+        assert out[1].startswith("contractible: No ")  # a mandatory face's link
+    assert run(["links", "--face", "{12}", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("link of {12}: facets {3,4}\n")
 
 
 def test_links_rejects_non_faces(files, capsys):
@@ -203,7 +227,7 @@ def test_collapse_command(files, capsys, tmp_path):
     assert run(["collapse", "--strict", files["dunce-hat"]]) == 1
     assert run(["collapse", "--engine", "collapse", files["dunce-hat"]]) == 0
     capsys.readouterr()
-    # the certificate line prints each step through CollapseStep.__str__
+    # the certificate line prints each step as (sigma,tau)
     triangle = tmp_path / "triangle.cx"
     triangle.write_text("n=3\n123\n")
     assert run(["collapse", str(triangle)]) == 0
@@ -271,11 +295,13 @@ def test_homology_of_a_wide_simplex_is_fast(capsys, tmp_path):
     assert f"F_2: reduced betti {(0,) * 30}" in capsys.readouterr().out
 
 
-def test_realize_verify(files, capsys):
-    assert run(["realize-verify", files["intro-code"]]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("match:")
-    assert run(["realize-verify", "--strict", files["intro-code"]]) == 0
+def test_realize_verify_is_no_command(files, capsys):
+    # the realized code is the code's nonzero words by definition, so no
+    # command reports it
+    with pytest.raises(SystemExit) as e:
+        run(["realize-verify", files["intro-code"]])
+    assert e.value.code == 64
+    assert "invalid choice: 'realize-verify'" in capsys.readouterr().err
 
 
 def test_goodcover_command(files, capsys):
@@ -369,7 +395,6 @@ TAKES = {
     "links": {"--budget", "--seed", "--primes", "--json", "--strict"},
     "collapse": {"--budget", "--seed", "--json", "--strict"},
     "homology": {"--primes", "--json"},
-    "realize-verify": {"--json", "--strict"},
 }
 FLAG_VALUES = {"--budget": ["50"], "--seed": ["3"], "--primes": ["2,3"]}
 
@@ -462,8 +487,8 @@ def test_malformed_tokens_exit_65(capsys, tmp_path, text):
     assert capsys.readouterr().err.startswith("parse error: line 1: unreadable token")
 
 
-@pytest.mark.parametrize("command", ["classify", "mandatory", "goodcover", "realize-verify",
-                                     "collapse", "homology"])
+@pytest.mark.parametrize("command", ["classify", "mandatory", "goodcover", "collapse",
+                                     "homology"])
 def test_separator_only_lines_exit_65(capsys, tmp_path, command):
     bad = tmp_path / "bad.txt"
     bad.write_text("12\n , \n")
@@ -521,10 +546,3 @@ def test_closed_stdout_exits_74(files):
     assert out.returncode == 74
     assert "internal error" not in out.stderr and "Exception ignored" not in out.stderr
 
-
-def test_realize_verify_on_13_labels(capsys, tmp_path):
-    # past the 12-label cap on cell walks: the open realization walks none
-    path = tmp_path / "thirteen.code"
-    path.write_text("n=13\n1 2 13\n12 13\n13\n")
-    assert run(["realize-verify", "--strict", str(path)]) == 0
-    assert capsys.readouterr().out == "match: realization reproduces all 3 nonempty words\n"

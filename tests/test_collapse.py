@@ -1,9 +1,12 @@
 """Elementary collapses and the exhaustive collapsibility search."""
 
+import re
+
 import pytest
 
 from convexcodes import collapse
 from convexcodes.collapse import (
+    ENGINES,
     Budget,
     CollapseStep,
     certifies_collapse,
@@ -69,8 +72,8 @@ def test_free_pairs_dunce_hat_empty():
 
 
 def test_free_pairs_point_modes():
-    assert free_pairs(POINT, mode="collapse") == []
-    assert pairs(POINT, "generalized") == [(1, 1)]
+    for engine in ENGINES:
+        assert free_pairs(POINT, mode=engine) == []
 
 
 def test_free_pairs_matches_definition():
@@ -78,8 +81,8 @@ def test_free_pairs_matches_definition():
         cx = random_complex(6, seed)
         if cx.is_void:
             continue
-        for mode in ("generalized", "collapse", "strict"):
-            assert pairs(cx, mode) == oracles.free_pairs_by_definition(cx, mode)
+        for engine in ENGINES:
+            assert pairs(cx, engine) == oracles.free_pairs_by_definition(cx, engine)
 
 
 def test_elementary_collapse_examples():
@@ -94,7 +97,9 @@ def test_elementary_collapse_examples():
 def test_elementary_collapse_removes_exactly_star():
     for seed in range(25):
         cx = random_complex(5, seed)
-        for step in free_pairs(cx, mode="generalized")[:3]:
+        # the first facet's deletion, then collapses
+        steps = [CollapseStep(cx.facets[0], cx.facets[0])] + free_pairs(cx, "collapse")[:3]
+        for step in steps:
             after = elementary_collapse(cx, step)
             want = {f for f in cx.faces() if step.sigma & ~f != 0 or f == 0}
             assert set(after.faces()) == want
@@ -137,8 +142,10 @@ def test_simplices_collapse():
 def test_void_and_engine_validation():
     with pytest.raises(VoidComplex):
         is_collapsible(SimplicialComplex.void(2))
-    with pytest.raises(ValueError):
-        is_collapsible(POINT, engine="generalized")
+    for search in (free_pairs, is_collapsible):
+        with pytest.raises(ValueError, match=r"unknown engine 'generalized'; pick from "
+                           + re.escape(repr(ENGINES))):
+            search(POINT, "generalized")
 
 
 def test_empty_face_complex_is_not_collapsible():

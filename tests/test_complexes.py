@@ -15,7 +15,6 @@ from convexcodes.complexes import (
     face_of,
     link,
     order_complex,
-    restriction,
 )
 from convexcodes.errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
 from convexcodes.instances import (
@@ -206,14 +205,6 @@ def test_link_of_link_identity():
                 sigma |= face_of([v])
         tau = both & ~sigma
         assert link(cx, both) == link(link(cx, tau), sigma)
-
-
-def test_restriction_examples():
-    full = closure(C(3, "123"))
-    assert restriction(full, F("12")).facets == (F("12"),)
-    path = closure(C(3, "12", "23"))
-    assert set(restriction(path, F("13")).facets) == {F("1"), F("3")}
-    assert restriction(path, 0).facets == (0,)
 
 
 def test_cone_examples():

@@ -93,6 +93,17 @@ def test_malformed_tokens_are_parse_errors(text):
         parse_face(text.splitlines()[-1], 4)
 
 
+def test_parse_face_reads_the_braced_labels_it_prints():
+    assert parse_face("{1,2}", 12) == F("12")
+    assert parse_face("{12}", 12) == 1 << 11
+    assert parse_face("{10}", 12) == 1 << 9  # whole labels, never a binary row
+    assert parse_face(" {3, 12} ", 12) == F("3") | 1 << 11
+    assert parse_face("{1,2}", 3) == parse_face("12", 3) == F("12")
+    for bad in ("{}", "{{1}}", "{1", "{x}"):
+        with pytest.raises(ParseError):
+            parse_face(bad, 12)
+
+
 @pytest.mark.parametrize("text", [",", " , ", ",\t,", "1,,2\n,"])
 def test_separator_only_lines_are_parse_errors(text):
     lineno = text.count("\n") + 1

@@ -44,7 +44,6 @@ PUBLIC = (
     "realized_code_from_closures",
     "reduced_betti",
     "replay_certificate",
-    "restriction",
     "v_region_contractibility",
 )
 
@@ -58,6 +57,9 @@ REMOVED = (
     "is_k_sparse",
     "simplex_faces",
     "is_max_intersection_complete",
+    "restriction",
+    "MODES",
+    "_check_mode",
 )
 
 MODULES = ("analysis", "cli", "collapse", "complexes", "errors", "fileformat",

@@ -490,7 +490,7 @@ def classify(
         )
     if good.is_no and great.is_yes:
         raise InternalInconsistency(
-            f"locally good failed at witness {face_label(good.witness)} "
+            f"locally good failed at witness {face_label(good.witness, code.ambient_n)} "
             "yet locally great was proved"
         )
     sparsity = max((w.bit_count() for w in code.words), default=0)

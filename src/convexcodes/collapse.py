@@ -312,19 +312,19 @@ def elementary_collapse(cx: SimplicialComplex, step: CollapseStep) -> Simplicial
     legal on this complex.  sigma = tau is allowed (facet deletion); use
     the search engines when strictly proper steps are required.
     """
-    sigma, tau = step.sigma, step.tau
+    sigma, tau, n = step.sigma, step.tau, cx.ambient_n
     if sigma == 0:
         raise IllegalStep("sigma is empty")
     if tau not in cx.facets:
-        raise IllegalStep(f"tau {face_label(tau)} is not a facet")
+        raise IllegalStep(f"tau {face_label(tau, n)} is not a facet")
     if sigma & ~tau:
         raise IllegalStep(
-            f"sigma {face_label(sigma)} is not contained in tau {face_label(tau)}"
+            f"sigma {face_label(sigma, n)} is not contained in tau {face_label(tau, n)}"
         )
     holders = [f for f in cx.facets if sigma & ~f == 0]
     if holders != [tau]:
         raise IllegalStep(
-            f"sigma {face_label(sigma)} lies in {len(holders)} facets, not uniquely in tau"
+            f"sigma {face_label(sigma, n)} lies in {len(holders)} facets, not uniquely in tau"
         )
     return SimplicialComplex(cx.ambient_n, _apply_step(tuple(cx.facets), sigma, tau))
 
@@ -378,7 +378,8 @@ def replay_certificate(cx: SimplicialComplex, steps) -> SimplicialComplex:
     cur = cx
     for step in steps:
         if step.sigma == step.tau:
-            raise IllegalStep(f"step {step} deletes a facet instead of collapsing")
+            label = face_label(step.tau, cx.ambient_n)
+            raise IllegalStep(f"step ({label},{label}) deletes a facet instead of collapsing")
         cur = elementary_collapse(cur, step)
     return cur
 

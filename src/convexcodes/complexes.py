@@ -258,7 +258,7 @@ def link(cx: SimplicialComplex, sigma: Face) -> SimplicialComplex:
     """
     facets = tuple(f ^ sigma for f in cx.facets if f & sigma == sigma)
     if not facets:
-        raise NotAFace(f"{face_label(sigma)} is not a face of the complex")
+        raise NotAFace(f"{face_label(sigma, cx.ambient_n)} is not a face of the complex")
     return SimplicialComplex(cx.ambient_n, facets)
 
 

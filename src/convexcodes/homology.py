@@ -27,7 +27,14 @@ reduced Betti number over every field, of the complex.  A core that is a
 single vertex has all-zero Betti numbers and needs no matrix; the
 contractibility ladder never asks for them, since it writes the strong
 collapses out as elementary ones and gives them as a collapse
-certificate.  The core's dimension can be smaller, so its Betti vector
+certificate.  A core whose facets are the v sets of v - 1 vertices on a
+v-vertex support (v >= 2) is the boundary of a (v - 1)-simplex, a
+(v - 2)-sphere, and needs no matrix either: its reduced Betti number is 1
+in degree v - 2 and 0 in every other degree, over every field.  It is
+its own core, since the meet of the v - 1 facets at a vertex is that
+vertex alone, so every complex that strong-collapses onto one gets the
+closed form.  No face is enumerated for it, so the 2^20 face cap never
+refuses one.  The core's dimension can be smaller, so its Betti vector
 is padded with zeros up to the complex's dimension.
 
 A core is its own core, so a caller that wants several primes builds the
@@ -42,6 +49,8 @@ shapes with one core share them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .complexes import SimplicialComplex
 from .errors import DimensionOutOfRange, VoidComplex
@@ -277,10 +286,15 @@ def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:
     vertices, those whose facets all share some other vertex, are deleted
     until none is left.  A strong collapse is a sequence of elementary
     collapses, so the core has the Betti numbers of ``cx`` over every
-    field, and a core that is a single vertex needs no matrix at all.  The
-    core's vector is padded with zeros to ``cx.dimension() + 1`` entries,
-    the length the complex itself gives.  Given a core, it gives the core's
-    own vector after one pass that finds no dominated vertex.
+    field, and a core that is a single vertex needs no matrix at all.
+    Nor does a hollow simplex, a core whose facets are all v of the
+    (v - 1)-subsets of its v vertices: it is a (v - 2)-sphere, its own
+    core, with reduced Betti number 1 in degree v - 2 and 0 elsewhere over
+    every field.  It enumerates no face, so the 2^20 face cap does not
+    refuse it, however many vertices it has.  The core's vector is padded
+    with zeros to ``cx.dimension() + 1`` entries, the length the complex
+    itself gives.  Given a core, it gives the core's own vector after one
+    pass that finds no dominated vertex.
     """
     if cx.is_void:
         raise VoidComplex("homology of the void complex is undefined")
@@ -291,6 +305,10 @@ def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:
     core = _strong_core(cx)
     if len(core.facets) == 1 and core.facets[0].bit_count() == 1:
         return BettiVector(p, (0,) * (dim + 1))
+    v = len(core.facets)
+    if (v >= 2 and all(f.bit_count() == v - 1 for f in core.facets)
+            and reduce(or_, core.facets).bit_count() == v):
+        return BettiVector(p, (0,) * (v - 2) + (1,) + (0,) * (dim + 2 - v))
     core_dim = core.dimension()
     counts = core.f_vector()
     ranks = [rank_mod_p(boundary_matrix(core, k, p)) for k in range(core_dim + 1)]

@@ -124,14 +124,15 @@ def v_region_contractibility(
         raise EmptyInput("tau must be a nonempty face")
     pieces = [w for w in code.words if tau & ~w == 0]
     if not pieces:
-        raise EmptyRegion(f"no codeword contains {face_label(tau)}")
+        raise EmptyRegion(f"no codeword contains {face_label(tau, code.ambient_n)}")
     apex = _cone_apex(code.words, reduce(and_, pieces), reduce(or_, pieces))
     if apex is not None:
         return TriStatus(Verdict.YES, R_CONE_APEX, certificate=apex)
     if len(pieces) > MAX_VERTICES:
         raise TooLarge(
-            f"{len(pieces)} codewords contain the face {face_label(tau)}, more than "
-            f"the {MAX_VERTICES} vertices its order complex may have"
+            f"{len(pieces)} codewords contain the face "
+            f"{face_label(tau, code.ambient_n)}, more than the {MAX_VERTICES} "
+            "vertices its order complex may have"
         )
     return contractibility_status(order_complex(pieces), budget, memo, primes)
 

@@ -7,6 +7,7 @@ from operator import or_
 
 import pytest
 
+from convexcodes import analysis
 from convexcodes.analysis import (
     AnalysisReport,
     _shape,
@@ -169,6 +170,17 @@ def test_point_cores_are_certified_without_a_search(monkeypatch):
 def test_strong_collapse_steps_refuse_a_nonpoint_core():
     with pytest.raises(InternalInconsistency):
         _strong_collapse_steps(searched_complex().facets)
+
+
+def test_inconsistency_message_braces_the_witness_on_12_labels(monkeypatch):
+    # a locally-good No at {1,2} beside a locally-great Yes cannot happen,
+    # so the two verdicts are forced; the witness must not read as label 12
+    monkeypatch.setattr(analysis._LinkTable, "locally_good",
+                        lambda self: TriStatus(Verdict.NO, R_TREE_TEST, witness=F("12")))
+    monkeypatch.setattr(analysis._LinkTable, "locally_great",
+                        lambda self: TriStatus(Verdict.YES, R_ALL_LINKS))
+    with pytest.raises(InternalInconsistency, match=r"at witness \{1,2\} yet"):
+        classify(Code(12, frozenset({F("12"), face_of([12])})))
 
 
 def test_three_triangle_path_needs_no_search(monkeypatch):

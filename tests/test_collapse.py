@@ -116,6 +116,21 @@ def test_elementary_collapse_illegal_steps():
         elementary_collapse(TWO_FACETS, CollapseStep(0, F("123")))  # empty sigma
 
 
+def test_illegal_step_messages_brace_faces_on_12_labels():
+    # on 12 labels the face {1,2} and the label 12 must print apart
+    cx = SimplicialComplex.from_facets(12, [F("123"), face_of([3, 12])])
+    with pytest.raises(IllegalStep, match=re.escape("tau {1,2} is not a facet")):
+        elementary_collapse(cx, CollapseStep(F("1"), F("12")))
+    with pytest.raises(IllegalStep,
+                       match=re.escape("sigma {1,2} is not contained in tau {3,12}")):
+        elementary_collapse(cx, CollapseStep(F("12"), face_of([3, 12])))
+    with pytest.raises(IllegalStep, match=re.escape("sigma {3} lies in 2 facets")):
+        elementary_collapse(cx, CollapseStep(F("3"), F("123")))
+    with pytest.raises(IllegalStep,
+                       match=re.escape("step ({1,2,3},{1,2,3}) deletes a facet")):
+        replay_certificate(cx, [CollapseStep(F("123"), F("123"))])
+
+
 def test_is_collapsible_example():
     for engine in ("collapse", "strict"):
         out = is_collapsible(TWO_FACETS, engine)

@@ -170,6 +170,12 @@ def test_link_requires_member_face():
             link(void, sigma)
 
 
+def test_not_a_face_message_braces_faces_on_12_labels():
+    cx = SimplicialComplex.from_facets(12, [F("12"), face_of([3, 12])])
+    with pytest.raises(NotAFace, match=r"^\{1,3\} is not a face"):
+        link(cx, F("13"))
+
+
 def test_link_facets_come_out_in_mask_order():
     for seed in range(30):
         cx = random_complex(6, seed)

@@ -18,6 +18,7 @@ from convexcodes.complexes import (
     face_of,
 )
 from convexcodes import homology
+from convexcodes.cli import run
 from convexcodes.errors import DimensionOutOfRange, VoidComplex
 from convexcodes.homology import (
     _check_prime,
@@ -36,6 +37,10 @@ PRIMES = (2, 3, 5)
 EDGE = SimplicialComplex.from_facets(2, [0b11])
 TRI_BDRY = SimplicialComplex.from_facets(3, [0b011, 0b101, 0b110])
 TRI_SOLID = SimplicialComplex.from_facets(3, [0b111])
+
+
+def F(*labels):
+    return face_of(labels)
 
 
 def simplex_boundary(k):
@@ -208,12 +213,87 @@ def test_is_acyclic_builds_the_core_once(monkeypatch):
     assert reductions == [cx.facets]
 
 
-def test_simplex_boundary_is_its_own_core():
-    for k in range(2, 8):
-        sphere = simplex_boundary(k)
-        assert _strong_core(sphere) == sphere
+def no_matrix(monkeypatch):
+    """Make building a boundary matrix or a face cache fail the test."""
+
+    def unbuilt(*args):
+        raise AssertionError("a face cache or a boundary matrix was built")
+
+    monkeypatch.setattr(homology, "boundary_matrix", unbuilt)
+    monkeypatch.setattr(SimplicialComplex, "_all_faces", unbuilt)
+
+
+def test_hollow_simplex_betti_in_closed_form(monkeypatch):
+    # the boundary of the (v-1)-simplex is a (v-2)-sphere and its own core
+    spheres = [simplex_boundary(v - 1) for v in range(2, 13)]
+    want = {(cx, p): oracles.reduced_betti(oracles.complex_faces(cx), p)
+            for cx in spheres for p in PRIMES}
+    for cx in spheres:
+        assert _strong_core(cx) == cx
+    no_matrix(monkeypatch)
+    for cx in spheres:
         for p in PRIMES:
-            assert reduced_betti(sphere, p).betti == (0,) * (k - 1) + (1,)
+            assert reduced_betti(cx, p).betti == want[cx, p]
+        assert not is_acyclic(cx)
+
+
+def test_complex_collapsing_onto_a_hollow_simplex_gets_the_padded_vector(monkeypatch):
+    # the boundary of the tetrahedron 1234 with a pendant triangle on the
+    # edge 12, and with a pendant tetrahedron at the vertex 4: the vertices
+    # 5..7 are dominated and deleted, leaving the 2-sphere
+    sphere = simplex_boundary(3)
+    triangle = SimplicialComplex.from_facets(5, sphere.facets + (F(1, 2, 5),))
+    tetrahedron = SimplicialComplex.from_facets(7, sphere.facets + (F(4, 5, 6, 7),))
+    cases = [(triangle, (0, 0, 1)), (tetrahedron, (0, 0, 1, 0))]
+    for cx, _ in cases:
+        assert _strong_core(cx) == SimplicialComplex(cx.ambient_n, sphere.facets)
+    want = {(cx, p): oracles.reduced_betti(oracles.complex_faces(cx), p)
+            for cx, _ in cases for p in PRIMES}
+    no_matrix(monkeypatch)
+    for cx, betti in cases:
+        for p in PRIMES:
+            assert reduced_betti(cx, p).betti == want[cx, p] == betti
+        assert not is_acyclic(cx)
+
+
+def test_near_misses_of_a_hollow_simplex_build_matrices(monkeypatch):
+    octahedron = SimplicialComplex.from_facets(
+        6, [F(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)])
+    # two hollow triangles 123 and 345 sharing the vertex 3
+    bowtie = SimplicialComplex.from_facets(
+        5, [F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(3, 5), F(4, 5)])
+    # four triangles, each pair meeting in a vertex of its own: v facets of
+    # v - 1 vertices, but on 6 vertices, not 4
+    triangles = SimplicialComplex.from_facets(
+        6, [F(1, 2, 3), F(1, 4, 5), F(2, 4, 6), F(3, 5, 6)])
+    built = []
+
+    def counted(cx, k, p, _fn=homology.boundary_matrix):
+        built.append(k)
+        return _fn(cx, k, p)
+
+    monkeypatch.setattr(homology, "boundary_matrix", counted)
+    for cx in (octahedron, bowtie, triangles):
+        assert _strong_core(cx) == cx
+        before = len(built)
+        for p in PRIMES:
+            assert reduced_betti(cx, p).betti == oracles.reduced_betti(
+                oracles.complex_faces(cx), p)
+        assert len(built) > before
+
+
+def test_wide_hollow_simplex_passes_the_face_cap(tmp_path, capsys):
+    # 21 vertices: 21 * 2^20 subsets in all, over the 2^20 face cap, yet
+    # the closed form needs no face
+    sphere = simplex_boundary(20)
+    betti = (0,) * 19 + (1,)
+    assert reduced_betti(sphere, 2).betti == betti
+    assert not is_acyclic(sphere)
+    lines = ["n=21"] + [" ".join(str(j) for j in range(1, 22) if j != i) for i in range(1, 22)]
+    path = tmp_path / "hollow21.cx"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["homology", str(path)]) == 0
+    assert f"F_2: reduced betti {betti}" in capsys.readouterr().out.splitlines()
 
 
 def test_betti_matches_reference_implementation():

@@ -105,6 +105,18 @@ def test_v_region_too_large_for_an_order_complex(monkeypatch):
         good_cover_check(missing_1)
 
 
+def test_v_region_messages_brace_faces_on_12_labels():
+    # on 12 labels the face {1,2} and the label 12 must print apart
+    with pytest.raises(EmptyRegion, match=r"no codeword contains \{1,2\}$"):
+        v_region_contractibility(Code(12, frozenset({F("13"), face_of([2, 12])})), F("12"))
+    # 12 with each nonempty subset of 3..8, and two incomparable words:
+    # 65 codewords contain {1,2}, with neither a least nor a greatest one
+    above_12 = [F("12") | s << 2 for s in range(1, 1 << 6)] + [F("12456789"), F("1234567") | 1 << 9]
+    code = Code(12, frozenset(above_12))
+    with pytest.raises(TooLarge, match=r"65 codewords contain the face \{1,2\},"):
+        v_region_contractibility(code, F("12"))
+
+
 def test_good_cover_check_refuses_a_wide_word():
     # the face enumeration of a 40-label word would hold 2^40 faces
     code = Code(40, frozenset({(1 << 40) - 1, 1}))

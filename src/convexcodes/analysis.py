@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 from .collapse import Budget, _is_point, _strong_collapse_steps, is_collapsible
 from .complexes import (
+    MAX_FACE_ENUMERATION,
     Code,
     SimplicialComplex,
     closure,
@@ -58,7 +59,7 @@ from .complexes import (
     link,
     _face_sort_key,
 )
-from .errors import EmptyInput, InternalInconsistency, LabelOutOfRange, VoidComplex
+from .errors import EmptyInput, InternalInconsistency, LabelOutOfRange, TooLarge, VoidComplex
 from .homology import DEFAULT_PRIMES, _check_primes, _padded, _strong_core, reduced_betti
 from .verdicts import (
     R_ALL_LINKS,
@@ -231,24 +232,35 @@ def contractibility_status(
     return TriStatus(Verdict.UNKNOWN, reason, certificate=nodes)
 
 
+def _intersections(masks) -> set[int]:
+    """Every nonempty intersection of one or more of the masks, in one pass.
+
+    Adding w to a family closed under intersection adds w and w & m for
+    each member m, and nothing when w is a member.  Largest first puts a
+    mask's supersets before it, which makes that common.  TooLarge refuses
+    a family of more than ``MAX_FACE_ENUMERATION`` members.
+    """
+    members = set()
+    for w in sorted(masks, reverse=True):
+        if w not in members:
+            members |= {w & m for m in members}
+            members.add(w)
+            members.discard(0)
+            if len(members) > MAX_FACE_ENUMERATION:
+                raise TooLarge(f"the intersection closure is capped at 2^20 members; "
+                               f"this one reached {len(members)}")
+    return members
+
+
 def facet_intersections(cx: SimplicialComplex) -> frozenset[int]:
-    """Closure of the facet set under pairwise intersection, nonempty members only.
+    """Closure of the facet set under intersection, nonempty members only.
 
     Every face whose link can fail to be contractible lies in this family,
     which is what lets the locally-good check skip the rest of the complex.
     """
     if cx.is_void:
         raise VoidComplex("the void complex has no facets")
-    facets = [f for f in cx.facets if f]
-    members = set(facets)
-    # An intersection of k facets is an intersection of k - 1 facets cut
-    # by one more facet, so each round cuts only the previous round's
-    # new members.
-    fresh = facets
-    while fresh:
-        fresh = {c for a in fresh for f in facets if (c := a & f) and c not in members}
-        members |= fresh
-    return frozenset(members)
+    return frozenset(_intersections(cx.facets))
 
 
 def _has_every_face(words: frozenset[int]) -> bool:
@@ -266,12 +278,6 @@ def _has_every_face(words: frozenset[int]) -> bool:
                 return False
             rest ^= low
     return True
-
-
-def _check_code(code: Code) -> SimplicialComplex:
-    if not code.words:
-        raise EmptyInput("the code has no words")
-    return closure(code)
 
 
 # Ladder rungs whose status is a function of the link's shape alone: a
@@ -310,8 +316,10 @@ class _LinkTable:
 
     def __init__(self, code: Code, budget: Budget, primes):
         self.primes = _check_primes(primes)
+        if not code.words:
+            raise EmptyInput("the code has no words")
         self.code = code
-        self.cx = _check_code(code)
+        self.cx = closure(code)
         self.budget = budget
         self.memo = {}
         self.by_shape = {}

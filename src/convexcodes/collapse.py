@@ -75,7 +75,8 @@ class CollapseStep:
     tau: int
 
     def __str__(self) -> str:
-        return f"({face_label(self.sigma)},{face_label(self.tau)})"
+        n = (self.sigma | self.tau).bit_length()
+        return f"({face_label(self.sigma, n)},{face_label(self.tau, n)})"
 
 
 @dataclass(frozen=True)

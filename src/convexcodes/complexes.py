@@ -25,8 +25,8 @@ from typing import ClassVar, Iterable, Iterator
 from .errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
 
 MAX_VERTICES = 64
-# Faces are enumerated only while the facets' subset counts sum to at most
-# this, so a complex with a wide facet is refused instead of filling memory.
+# Caps listed faces (the facets' subsets, summed), intersections, least-face
+# candidates and maximal chains, so a wide input is refused, not stored.
 MAX_FACE_ENUMERATION = 1 << 20
 
 Face = int
@@ -292,7 +292,8 @@ def order_complex(faces: Iterable[Face]) -> SimplicialComplex:
     nothing below j is above i (``below[j] & above[i] == 0``).  Maximal
     chains are grown along covers from the minimal elements to the
     maximal ones; they are distinct and none contains another, so they
-    are the facets as they stand, sorted.
+    are the facets as they stand, sorted.  TooLarge refuses more than
+    ``MAX_FACE_ENUMERATION`` of them.
     """
     elems = sorted(set(faces), key=_face_sort_key)
     if not elems:
@@ -331,5 +332,7 @@ def order_complex(faces: Iterable[Face]) -> SimplicialComplex:
             stack.extend((mask | 1 << j, j) for j in covers[i])
         else:
             chains.append(mask)
+            if len(chains) > MAX_FACE_ENUMERATION:
+                raise TooLarge("an order complex is capped at 2^20 maximal chains")
     return SimplicialComplex(m, tuple(sorted(chains)))
 

@@ -27,17 +27,16 @@ the greatest.  Either way that codeword lies on every maximal chain, so
 the order complex is a cone and the region is contractible without
 building anything.  Only an up-set with neither a least nor a greatest
 codeword goes to its order complex, with cover relations read off bit
-masks of each codeword's up- and down-sets.  The good-cover check reads
-every face's meet and join from one table, filled in a single pass over
-the subsets of each codeword, and walks the table's own keys as the
-faces.  A face whose meet was seen at an earlier face is skipped; at a
-meet's first face, a cone meet is passed over with nothing built, and
-only a meet that is not a cone is decided, once.  A cell of the open
-realization yields a word only when its positive part is a codeword, and
-that word is the positive part, so the realized code is read off one
-chamber per codeword and is the code's nonzero words by construction;
-only the closed realization walks every cell.  A cell is never an
-object, just a ``(positive, zero)`` pair of int masks.
+masks of each codeword's up- and down-sets.  The meets are exactly the
+nonempty intersections of codewords, so the good-cover check lists that
+intersection closure, passes over each cone meet with nothing built, and
+decides each other meet once, at its least face: the (size, mask)-least
+label set with that meet.  A cell of the open realization yields a word
+only when its positive part is a codeword, and that word is the positive
+part, so the realized code is read off one chamber per codeword and is
+the code's nonzero words by construction; only the closed realization
+walks every cell.  A cell is never an object, just a ``(positive,
+zero)`` pair of int masks.
 """
 
 from __future__ import annotations
@@ -45,14 +44,14 @@ from __future__ import annotations
 from functools import partial, reduce
 from operator import and_, or_
 
-from .analysis import contractibility_status
+from .analysis import _intersections, contractibility_status
 from .collapse import Budget
 from .complexes import (
     MAX_FACE_ENUMERATION,
     MAX_VERTICES,
     Code,
-    check_face_enumeration,
-    closure,
+    _face_sort_key,
+    closure,  # nothing here calls it; perfbench/tracing.py install wraps it by name
     face_label,
     order_complex,
 )
@@ -78,23 +77,27 @@ def _cone_apex(words: frozenset[int], meet: int, join: int) -> int | None:
     return None
 
 
-def _meet_table(words: frozenset[int]) -> tuple[dict[int, int], dict[int, int]]:
-    """The meet and the join of the up-set of every nonempty face below some codeword.
+def _least_face(meet: int, words: frozenset[int]) -> int:
+    """The (size, mask)-least nonempty face whose up-set has this meet.
 
-    One pass over the nonempty subsets of each word ANDs the word into
-    the meet of each subset and ORs it into the join, so the tables cost
-    the sum of 2^|w| over the words.  Both have the same keys: the
-    nonempty faces of the code's closure.
+    It lies inside the meet and meets each hole ``meet & ~w`` of a word w
+    without the meet, as the meet does.  Faces are built by size, in mask
+    order; TooLarge refuses a size that takes the count past the 2^20 cap.
     """
-    meets: dict[int, int] = {}
-    joins: dict[int, int] = {}
-    for w in words:
-        sub = w
-        while sub:
-            meets[sub] = meets.get(sub, w) & w
-            joins[sub] = joins.get(sub, 0) | w
-            sub = (sub - 1) & w
-    return meets, joins
+    holes = {h for w in words if (h := meet & ~w)}
+    bits = [1 << i for i in range(meet.bit_length()) if meet >> i & 1]
+    level, built, count = [0], 0, 1
+    for size in range(1, len(bits) + 1):
+        count = count * (len(bits) - size + 1) // size  # the faces of this size
+        built += count
+        if built > MAX_FACE_ENUMERATION:
+            raise TooLarge(f"the least face over {face_label(meet, meet.bit_length())} "
+                           "is sought among at most 2^20 faces")
+        # each face gains a label above its own, so the faces stay in mask order
+        level = [f | t for t in bits for f in level if f < t]
+        for tau in level:
+            if all(map(tau.__and__, holes)):
+                return tau
 
 
 def v_region_contractibility(
@@ -227,46 +230,31 @@ def good_cover_check(
 ) -> TriStatus:
     """Is the canonical open realization a good cover?
 
-    Walks every nonempty label set contained in some codeword, in (size,
-    mask) order, and checks the contractibility of its cover intersection.
-    Yes means the code is realized by a good cover; No carries the
-    offending label set.  A label set has the same codewords above it as
-    their meet (their AND), so label sets with the same meet share one
-    verdict.  Every meet and join (OR) comes from one table, filled by a
-    single pass over the subsets of each codeword, and the table's keys
-    are the label sets walked.  A label set whose meet was seen before is
-    skipped.  At a meet's first label set, a meet or a join that is a
-    codeword is a cone apex, read off the table, and the region is
-    contractible with no status built for it; any other meet is decided
-    by :func:`v_region_contractibility` there, once.  Yes carries
-    ``all-regions-verified`` when there is a nonempty label set to walk,
-    even if every region is a cone, and ``nothing-to-check`` when the
-    code has no nonzero word.  All regions share one search memo.  The
-    walk is refused with TooLarge, like any face enumeration, when the
-    facets have more than 2^20 subsets in all.  Every prime is checked
-    first, so a non-prime raises ValueError even when no region reaches
-    homology.
+    Checks the cover intersection over every nonempty label set inside a
+    codeword.  Label sets with the same meet (the AND of the codewords
+    above them) share one region, and the meets are the nonempty
+    intersections of codewords.  A cone meet, one that is a codeword or
+    whose join (the OR) is, is passed over with nothing built; each other
+    is decided by :func:`v_region_contractibility` at its least label set,
+    in (size, mask) order, and No names the first that fails.  Yes carries
+    ``all-regions-verified`` when the code has a nonzero word, else
+    ``nothing-to-check``.  One search memo serves every region.  TooLarge
+    refuses more than 2^20 intersections or least-face candidates.  Every
+    prime is checked first, even when no region reaches homology.
     """
     primes = _check_primes(primes)
     if not code.words:
         raise EmptyInput("the code has no words")
     words = code.words
-    # refuse a wide word before the table could hold 2^|w| entries; every
-    # facet is a word, so only words over the cap need the closure
-    if sum(1 << w.bit_count() for w in words) > MAX_FACE_ENUMERATION:
-        check_face_enumeration(closure(code).facets)
-    meets, joins = _meet_table(words)
+    meets = _intersections(words)
     if not meets:
         return TriStatus(Verdict.YES, R_VACUOUS)
+    faces = []
+    for meet in meets.difference(words):
+        join = reduce(or_, (w for w in words if meet & ~w == 0))
+        if _cone_apex(words, meet, join) is None:
+            faces.append(_least_face(meet, words))
+    faces.sort(key=_face_sort_key)
     memo = {}
-
-    def undecided():
-        seen = set()
-        for tau in sorted(sorted(meets), key=int.bit_count):
-            meet = meets[tau]
-            if meet not in seen:
-                seen.add(meet)
-                if _cone_apex(words, meet, joins[tau]) is None:
-                    yield tau, v_region_contractibility(code, tau, budget, memo, primes)
-
-    return for_all(undecided(), R_ALL_REGIONS)
+    regions = ((tau, v_region_contractibility(code, tau, budget, memo, primes)) for tau in faces)
+    return for_all(regions, R_ALL_REGIONS)

@@ -34,7 +34,7 @@ from convexcodes.complexes import (
     face_of,
     link,
 )
-from convexcodes.errors import InternalInconsistency, VoidComplex
+from convexcodes.errors import InternalInconsistency, TooLarge, VoidComplex
 from convexcodes.homology import BettiVector, _strong_core, is_acyclic, reduced_betti
 from convexcodes.instances import (
     broken_line_code,
@@ -256,6 +256,15 @@ def test_facet_intersections_match_all_intersections():
                     want.add(meet)
         assert facet_intersections(cx) == frozenset(want)
     assert facet_intersections(SimplicialComplex(3, (0,))) == frozenset()
+
+
+def test_facet_intersections_are_capped():
+    # the hollow simplex on 21 labels has 2^21 - 2 facet intersections,
+    # every face but the empty one; the closure stops once it passes 2^20
+    full = (1 << 21) - 1
+    hollow = Code(21, frozenset(full ^ 1 << i for i in range(21)))
+    with pytest.raises(TooLarge, match=r"intersection closure is capped at 2\^20 members"):
+        classify(hollow)
 
 
 def test_facet_intersections_closed_under_meet():

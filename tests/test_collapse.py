@@ -289,6 +289,8 @@ def test_facet_deletion_breaks_contractibility():
 
 def test_step_rendering():
     assert str(CollapseStep(F("1"), F("123"))) == "(1,123)"
+    # on 12 labels the face {1,2} and the label 12 must print apart
+    assert str(CollapseStep(F("12"), face_of([1, 2, 12]))) == "({1,2},{1,2,12})"
 
 
 def _search_both_ways(monkeypatch, cx, mode, budget, memos):

@@ -254,6 +254,23 @@ def test_order_complex_errors():
         order_complex({0, F("1")})
 
 
+def _ladder(levels):
+    """Two words per level, each holding label 1, every label of the levels
+    below and one label of its own: 2^levels maximal chains."""
+    words, below = [], 1
+    for i in range(levels):
+        a, b = 1 << 2 * i + 1, 1 << 2 * i + 2
+        words += [below | a, below | b]
+        below |= a | b
+    return words
+
+
+def test_order_complex_caps_its_maximal_chains():
+    assert len(order_complex(_ladder(5)).facets) == 1 << 5
+    with pytest.raises(TooLarge, match=r"capped at 2\^20 maximal chains"):
+        order_complex(_ladder(21))
+
+
 def test_order_complex_counts_chains():
     rng = random.Random(23)
     for seed in range(20):

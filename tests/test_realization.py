@@ -1,11 +1,13 @@
 """Arrangement cells, realized codes, and the good-cover verification."""
 
+import time
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 
 import pytest
 
 from convexcodes import realization
+from convexcodes.analysis import _intersections
 from convexcodes.collapse import Budget
 from convexcodes.complexes import Code, closure, face_of, order_complex
 from convexcodes.errors import EmptyRegion, LabelOutOfRange, TooLarge
@@ -117,10 +119,28 @@ def test_v_region_messages_brace_faces_on_12_labels():
         v_region_contractibility(code, F("12"))
 
 
-def test_good_cover_check_refuses_a_wide_word():
-    # the face enumeration of a 40-label word would hold 2^40 faces
+def test_good_cover_check_decides_a_wide_word():
+    # both meets are codewords, so no face of the 40-label word is listed
     code = Code(40, frozenset({(1 << 40) - 1, 1}))
-    with pytest.raises(TooLarge, match=r"capped at 2\^20"):
+    start = time.perf_counter()
+    st = good_cover_check(code)
+    assert time.perf_counter() - start < 1
+    assert (st.value, st.reason) == (Verdict.YES, R_ALL_REGIONS)
+
+
+def test_good_cover_check_refuses_past_either_cap():
+    # the hollow simplex on 21 labels: each set of 1 to 20 of its 21 words
+    # meets in a different face, 2^21 - 2 intersections in all
+    full = (1 << 21) - 1
+    with pytest.raises(TooLarge, match=r"intersection closure is capped at 2\^20 members"):
+        good_cover_check(Code(21, frozenset(full ^ 1 << i for i in range(21))))
+    # labels 1..60 in ten blocks of 6: the meet m of the words m+61 and m+62
+    # is no codeword, nor is their join, and m minus any one block is a
+    # word, so the least face with that meet takes a label from every block
+    m = (1 << 60) - 1
+    blocks = [0b111111 << 6 * i for i in range(10)]
+    code = Code(62, frozenset({m | 1 << 60, m | 1 << 61, *(m & ~b for b in blocks)}))
+    with pytest.raises(TooLarge, match=r"is sought among at most 2\^20 faces"):
         good_cover_check(code)
 
 
@@ -227,15 +247,11 @@ def test_meet_table_decides_each_non_codeword_meet_once(monkeypatch):
         assert repr(st) == repr(oracles.naive_good_cover(code)), code
 
 
-def test_meet_table_matches_the_upsets():
+def test_intersections_are_the_upset_meets():
     for code in _parity_corpus():
-        meets, joins = realization._meet_table(code.words)
-        assert set(meets) == set(closure(code).faces()) - {0}, code
-        assert set(joins) == set(meets), code
-        for tau, meet in meets.items():
-            upset = [w for w in code.words if tau & ~w == 0]
-            assert meet == reduce(and_, upset), (code, tau)
-            assert joins[tau] == reduce(or_, upset), (code, tau)
+        faces = set(closure(code).faces()) - {0}
+        meets = {reduce(and_, [w for w in code.words if t & ~w == 0]) for t in faces}
+        assert _intersections(code.words) == meets, code
 
 
 def cells(n):

@@ -39,9 +39,10 @@ Unknown only when every rung fails inside budget.  Recognising
 collapsibility is NP-complete, so the search comes last.  A strong
 collapse is a sequence of elementary collapses, so a link whose strong
 core is a point is collapsible, and the steps that prove it are written
-down with no search.  Homology comes before the search because it is
-cheap: a nonzero reduced Betti number proves the link neither
-contractible nor collapsible, so no search runs on such a link.
+down with no search, by replaying the deletions that homology's one scan
+for dominated vertices records.  Homology comes before the search
+because it is cheap: a nonzero reduced Betti number proves the link
+neither contractible nor collapsible, so no search runs on such a link.
 """
 
 from __future__ import annotations
@@ -58,9 +59,12 @@ from .complexes import (
     face_label,
     link,
     _face_sort_key,
+    _shape,
 )
 from .errors import EmptyInput, InternalInconsistency, LabelOutOfRange, TooLarge, VoidComplex
-from .homology import DEFAULT_PRIMES, _check_primes, _padded, _strong_core, reduced_betti
+from .homology import DEFAULT_PRIMES, _betti_vectors, _check_primes, _strong_core
+# nothing here calls reduced_betti; perfbench/tracing.py install wraps it by name
+from .homology import reduced_betti
 from .verdicts import (
     R_ALL_LINKS,
     R_BUDGET,
@@ -114,38 +118,6 @@ def _graph_summary(facets: tuple[int, ...]) -> dict:
     return {"vertices": vertices, "edges": edges, "components": vertices - merges}
 
 
-# Tag of the Betti entries in a shared memo; the search's keys are
-# (mode, state) pairs, never 3-tuples, so the two kinds cannot collide.
-_BETTI = "betti"
-
-
-def _shape(facets: tuple[int, ...]) -> tuple[int, ...]:
-    """The facets after an order-preserving relabel of the support to bits 0..k-1.
-
-    A relabel that keeps the vertex order keeps the facets sorted, so two
-    complexes have the same shape exactly when one is such a relabel of
-    the other.  Each run of consecutive support bits moves down as a block.
-    """
-    support = 0
-    for f in facets:
-        support |= f
-    runs = []  # (bits of one run, how far the run moves down)
-    width = 0
-    while support:
-        low = support & -support
-        run = support & ~(support + low)
-        runs.append((run, low.bit_length() - 1 - width))
-        width += run.bit_count()
-        support ^= run
-    shape = []
-    for f in facets:
-        g = 0
-        for run, shift in runs:
-            g |= (f & run) >> shift
-        shape.append(g)
-    return tuple(shape)
-
-
 def contractibility_status(
     cx: SimplicialComplex,
     budget: Budget = Budget(),
@@ -170,20 +142,16 @@ def contractibility_status(
     count as the certificate ``{"nodes_explored": n}``, so every rung but
     ``budget`` also settles collapsibility, and no second search is needed.
 
-    The core is built once, before the core rung, and the Betti rung takes
-    every prime's Betti numbers on it; the core has the complex's homotopy
-    type (see :mod:`convexcodes.homology`).
-
-    ``memo`` is shared with the search, whose entries are keyed
-    ``(mode, state)``.  The Betti rung adds entries keyed
-    ``("betti", p, shape)`` that hold the core's :class:`BettiVector` over
-    F_p, where ``shape`` is the tuple of the core's facets after
-    relabelling the vertices in its support to bits 0..k-1, keeping their
-    order.  Reduced Betti numbers do not see labels, so every complex
-    whose core has one shape reuses one computation per prime.  The
-    certificate is that vector padded with zeros to the complex's own
-    dimension, which is what ``reduced_betti`` gives the complex itself.
-    ``memo=None`` uses a fresh dict for this call.
+    One scan, ``homology._strong_core``, builds the core, which has the
+    complex's homotopy type, and records its deletions: the core rung
+    replays the record, and the Betti rung reads each prime's vector of
+    the core from ``homology._betti_vectors``.  ``memo`` is shared with the
+    search, whose entries are keyed ``(mode, state)``, and with
+    ``_betti_vectors``, which keeps the core's vectors by prime and core
+    shape, since Betti numbers do not see labels.  The certificate is the
+    core's vector padded with zeros to the complex's own dimension, what
+    ``reduced_betti`` gives the complex itself.  ``memo=None`` uses a fresh
+    dict for this call.
 
     A prime is checked only when its Betti numbers are first computed, so
     a non-prime raises ValueError only on a complex that reaches the Betti
@@ -210,20 +178,13 @@ def contractibility_status(
     if common:
         apex = common & -common
         return TriStatus(Verdict.YES, R_CONE_APEX, certificate=apex)
-    memo = {} if memo is None else memo
-    core = _strong_core(cx)
+    core, deletions = _strong_core(cx)
     if _is_point(core.facets):
-        steps = _strong_collapse_steps(cx.facets)
+        steps = _strong_collapse_steps(cx.facets, deletions)
         return TriStatus(Verdict.YES, R_COLLAPSE_CERT, certificate=steps)
-    shape = _shape(core.facets)
-    for p in primes:
-        key = (_BETTI, p, shape)
-        bv = memo.get(key)
-        if bv is None:
-            bv = memo[key] = reduced_betti(core, p)
+    for bv in _betti_vectors(core, cx.dimension(), primes, memo):
         if not bv.is_zero():
-            certificate = _padded(bv, cx.dimension())
-            return TriStatus(Verdict.NO, R_NONZERO_BETTI, certificate=certificate)
+            return TriStatus(Verdict.NO, R_NONZERO_BETTI, certificate=bv)
     outcome = is_collapsible(cx, "strict", budget, memo)
     if outcome.status is Verdict.YES:
         return TriStatus(Verdict.YES, R_COLLAPSE_CERT, certificate=outcome.certificate)

@@ -59,14 +59,7 @@ from .complexes import (
 )
 from .errors import ConvexCodesError, InternalInconsistency, ParseError, TooLarge
 from .fileformat import emit_code, emit_complex, parse_code, parse_complex, parse_face
-from .homology import (
-    DEFAULT_PRIMES,
-    BettiVector,
-    _check_primes,
-    _padded,
-    _strong_core,
-    reduced_betti,
-)
+from .homology import DEFAULT_PRIMES, BettiVector, _betti_vectors, _check_primes, _strong_core
 from .instances import (
     c_n,
     connected_not_goodcover_code,
@@ -323,8 +316,8 @@ def _cmd_collapse(args, cx: SimplicialComplex):
 
 
 def _cmd_homology(args, cx: SimplicialComplex):
-    core, dim = _strong_core(cx), cx.dimension()
-    vectors = {p: _padded(reduced_betti(core, p), dim) for p in args.primes}
+    core = _strong_core(cx)[0]
+    vectors = dict(zip(args.primes, _betti_vectors(core, cx.dimension(), args.primes)))
     body = {"betti": {str(p): list(v.betti) for p, v in vectors.items()}}
     return body, [f"F_{p}: reduced betti {v.betti}" for p, v in vectors.items()], ()
 

@@ -12,8 +12,9 @@ walks, then an exhaustive backtracking search over step choices, so a No is
 a theorem (every branch explored), a Yes carries a replayable step sequence
 ending at a single point, and Unknown happens only when the node budget
 runs out.  This module is the package's only search kernel, in pure Python.
-It also writes out, as strict steps, a strong collapse down to a point,
-which the contractibility ladder gives as a certificate with no search.
+It also replays, as strict steps, the strong collapses down to a point
+that ``homology._strong_core`` records, which the contractibility ladder
+gives as a certificate with no search.
 
 States are tuples of facet masks sorted ascending, and candidate steps are
 tried in (|sigma|, sigma) order.  The memo table maps ``(engine, state)`` to
@@ -259,39 +260,27 @@ def _certificate(state, mode, table) -> tuple[CollapseStep, ...]:
     return tuple(steps)
 
 
-def _strong_collapse_steps(facets) -> tuple[CollapseStep, ...]:
-    """Strict steps that delete dominated vertices until a single point is left.
+def _strong_collapse_steps(facets, deletions) -> tuple[CollapseStep, ...]:
+    """Strict steps that replay a strong core's deletions down to a single point.
 
-    Vertex v is dominated when the meet of the facets containing v holds a
-    vertex w other than v; the lowest such v is deleted first, with the
-    lowest such w.  Each facet f containing v, lowest first, is collapsed
-    by the step (f - w, f): a facet containing f - w contains v, hence w,
-    hence f, so f is the only one.  The new facets containing v still
-    contain w, so the steps go on until v is gone: deleting v is a strong
-    collapse, written out as elementary ones.  A complex whose strong core
-    is not a point raises InternalInconsistency, so no certificate is
-    given that fails to replay.
+    ``deletions`` is the record :func:`~convexcodes.homology._strong_core`
+    gives: each deleted vertex v, in order, with a vertex w other than v
+    that lies in every facet containing v.  Each facet f containing v,
+    lowest first, is collapsed by the step (f - w, f): a facet containing
+    f - w contains v, hence w, hence f, so f is the only one.  The new
+    facets containing v still contain w, so the steps go on until v is
+    gone: deleting v is a strong collapse, written out as elementary ones.
+    A record that does not end at a point raises InternalInconsistency, so
+    no certificate is given that fails to replay.
     """
     state = tuple(sorted(facets))
     steps = []
-    while not _is_point(state):
-        support = 0
-        for f in state:
-            support |= f
-        w = 0
-        while support and not w:
-            v = support & -support
-            support ^= v
-            meet = -1
-            for f in state:
-                if f & v:
-                    meet &= f
-            w = (meet ^ v) & -(meet ^ v)
-        if not w:
-            raise InternalInconsistency("the strong collapse stopped short of a point")
+    for v, w in deletions:
         while f := next((f for f in state if f & v), 0):
             steps.append(CollapseStep(f ^ w, f))
             state = _apply_step(state, f ^ w, f)
+    if not _is_point(state):
+        raise InternalInconsistency("the strong collapse stopped short of a point")
     return tuple(steps)
 
 

@@ -83,6 +83,33 @@ def _face_sort_key(mask: Face) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
+def _shape(facets: tuple[Face, ...]) -> tuple[Face, ...]:
+    """The facets after an order-preserving relabel of the support to bits 0..k-1.
+
+    A relabel that keeps the vertex order keeps the facets sorted, so two
+    complexes have the same shape exactly when one is such a relabel of
+    the other.  Each run of consecutive support bits moves down as a block.
+    """
+    support = 0
+    for f in facets:
+        support |= f
+    runs = []  # (bits of one run, how far the run moves down)
+    width = 0
+    while support:
+        low = support & -support
+        run = support & ~(support + low)
+        runs.append((run, low.bit_length() - 1 - width))
+        width += run.bit_count()
+        support ^= run
+    shape = []
+    for f in facets:
+        g = 0
+        for run, shift in runs:
+            g |= (f & run) >> shift
+        shape.append(g)
+    return tuple(shape)
+
+
 def _check_ambient(n: int) -> None:
     if not 1 <= n <= MAX_VERTICES:
         raise LabelOutOfRange(f"ambient vertex count {n} outside 1..{MAX_VERTICES}")

@@ -13,10 +13,11 @@ of separators alone, is a ``ParseError`` naming the line.
 
 The literal ``0`` or ``empty`` denotes the empty word in any file.  Binary
 and integer forms cannot be mixed within one file.  A lone multi-character
-token of 0s and 1s is read as binary; a lone token with a digit above 1 is
-read as compact digits when the ambient stays at 9 or below, and as one
-whole label when a directive declares n >= 10.  Files with labels above 9
-and no directive should use separators.
+token of 0s and 1s is read as binary (by ``parse_face`` only when it is n
+wide); a lone token with a digit above 1 is read as compact digits when
+the ambient stays at 9 or below, and as one whole label when a directive
+declares n >= 10.  Files with labels above 9 and no directive should use
+separators.
 """
 
 from __future__ import annotations
@@ -199,4 +200,8 @@ def parse_face(token: str, n: int = 0) -> int:
     kind, payload = _classify_token(token, 1)
     if braced and kind != "empty":
         kind, payload = _INTEGER, ("separated", token.replace(",", " ").split())
+    elif kind == _BINARY and n and len(payload) != n:
+        if n <= 9:  # no binary row; on 10 or more labels, one whole label
+            raise ParseError(f"binary width {len(payload)} does not match n={n}", 1)
+        kind, payload = _INTEGER, ("single", payload)
     return _row_mask(kind, payload, n, 1)

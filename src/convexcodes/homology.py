@@ -37,13 +37,15 @@ closed form.  No face is enumerated for it, so the 2^20 face cap never
 refuses one.  The core's dimension can be smaller, so its Betti vector
 is padded with zeros up to the complex's dimension.
 
-A core is its own core, so a caller that wants several primes builds the
-core once and passes it to ``reduced_betti`` for each prime, padding each
-vector to the complex's dimension: ``is_acyclic``, the ``homology``
-command and the contractibility ladder all do.  The ladder keys its Betti
-memo by the core's shape, so within one ``classify`` the Betti numbers
-are computed once per core shape and prime, and links of different
-shapes with one core share them.
+``_strong_core`` is the package's only scan for dominated vertices, and
+it records each deletion, which the ladder replays as elementary
+collapses.  A core is its own core, so a caller that wants several
+primes builds the core once and reads each prime's vector, padded to the
+complex's dimension, from ``_betti_vectors``: ``is_acyclic``, the
+``homology`` command and the ladder all do.  The ladder's memo keys them
+by the core's shape, so within one ``classify`` the Betti numbers are
+computed once per core shape and prime, and links of different shapes
+with one core share them.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _shape
 from .errors import DimensionOutOfRange, VoidComplex
 
 DEFAULT_PRIMES = (2, 3, 5)
@@ -230,41 +232,40 @@ def rank_mod_p(mat: BoundaryMatrix) -> int:
     return len(pivots)
 
 
-def _strong_core(cx: SimplicialComplex) -> SimplicialComplex:
-    """The complex left after deleting dominated vertices until none remains.
+def _strong_core(cx: SimplicialComplex) -> tuple[SimplicialComplex, tuple]:
+    """The complex left after deleting dominated vertices, and the deletions made.
 
     Vertex v is dominated when the meet of the facets containing v holds
     another vertex.  Deleting v keeps every facet without v, and ``f - v``
     for each facet f with v unless a facet without v contains it (two
-    facets with v cannot, being incomparable).  Vertices are tried in
-    ascending order, pass after pass, so the core is reproducible.  A
-    complex with no dominated vertex is returned as it is, so a core's
-    face cache serves every prime.
+    facets with v cannot, being incomparable).  The lowest dominated v is
+    deleted, then the scan starts again from the lowest vertex.  Each
+    deletion is recorded as ``(v, w)``, with w the lowest other vertex of
+    v's meet, which ``collapse._strong_collapse_steps`` replays as strict
+    steps.  A complex with no dominated vertex is returned as it is, with
+    no deletion, so a core's face cache serves every prime.
     """
     facets = cx.facets
-    removed = True
-    while removed:
-        removed = False
-        support = 0
+    deletions = []
+    support = rest = reduce(or_, facets, 0)
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        meet = -1
         for f in facets:
-            support |= f
-        while support:
-            v = support & -support
-            support ^= v
-            meet = -1
-            for f in facets:
-                if f & v:
-                    meet &= f
-            if meet != v:
-                keep = [g for g in facets if not g & v]
-                facets = keep + [
-                    f ^ v for f in facets
-                    if f & v and not any((f ^ v) & ~g == 0 for g in keep)
-                ]
-                removed = True
-    if facets is cx.facets:
-        return cx
-    return SimplicialComplex(cx.ambient_n, tuple(sorted(facets)))
+            if f & v:
+                meet &= f
+        if meet != v:
+            keep = [g for g in facets if not g & v]
+            facets = keep + [
+                f ^ v for f in facets
+                if f & v and not any((f ^ v) & ~g == 0 for g in keep)
+            ]
+            deletions.append((v, (meet ^ v) & -(meet ^ v)))
+            rest = support = support ^ v
+    if not deletions:
+        return cx, ()
+    return SimplicialComplex(cx.ambient_n, tuple(sorted(facets))), tuple(deletions)
 
 
 def _padded(bv: BettiVector, dim: int) -> BettiVector:
@@ -277,6 +278,29 @@ def _padded(bv: BettiVector, dim: int) -> BettiVector:
     if missing <= 0:
         return bv
     return BettiVector(bv.field_characteristic, bv.betti + (0,) * missing)
+
+
+# Tag of the Betti entries in a memo shared with the collapse search,
+# whose keys are (mode, state) pairs, never 3-tuples, so they cannot collide.
+_BETTI = "betti"
+
+
+def _betti_vectors(core: SimplicialComplex, dim: int, primes, memo=None):
+    """Yield the reduced Betti vector of ``core`` over each prime, padded to ``dim``.
+
+    ``dim`` is the dimension of the complex ``core`` came from.  A vector is
+    computed only when reached.  ``memo`` keeps the core's own vectors
+    under ``("betti", p, shape)``, with ``shape`` the core's facets
+    relabelled to bits 0..k-1 in order, so cores of one shape share them.
+    """
+    memo = {} if memo is None else memo
+    shape = _shape(core.facets)
+    for p in primes:
+        key = (_BETTI, p, shape)
+        bv = memo.get(key)
+        if bv is None:
+            bv = memo[key] = reduced_betti(core, p)
+        yield _padded(bv, dim)
 
 
 def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:
@@ -302,7 +326,7 @@ def reduced_betti(cx: SimplicialComplex, p: int) -> BettiVector:
     dim = cx.dimension()
     if dim < 0:
         return BettiVector(p, ())
-    core = _strong_core(cx)
+    core = _strong_core(cx)[0]
     if len(core.facets) == 1 and core.facets[0].bit_count() == 1:
         return BettiVector(p, (0,) * (dim + 1))
     v = len(core.facets)
@@ -335,5 +359,5 @@ def is_acyclic(cx: SimplicialComplex, primes=DEFAULT_PRIMES) -> bool:
         raise VoidComplex("homology of the void complex is undefined")
     if cx.dimension() < 0:
         return False
-    core = _strong_core(cx)
-    return all(reduced_betti(core, p).is_zero() for p in primes)
+    vectors = _betti_vectors(_strong_core(cx)[0], cx.dimension(), primes)
+    return all(bv.is_zero() for bv in vectors)

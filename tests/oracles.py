@@ -376,3 +376,40 @@ def recursive_dfs(state, mode, budget, table, counters, memoize=True):
         return -1
     table[key] = (0, 0, 0)
     return 0
+
+
+def scanning_strong_collapse_steps(facets):
+    """Strict steps of a strong collapse to a point, found by scanning the state.
+
+    The reference for ``collapse._strong_collapse_steps``, which replays
+    ``homology._strong_core``'s record instead of scanning: in the current
+    state, the lowest vertex v whose facets share another vertex is
+    deleted, with w the lowest such other vertex, by the steps (f - w, f)
+    over the facets f containing v, lowest first; then the scan starts
+    again.  The replay must give the same steps.  A complex whose strong
+    core is not a point raises InternalInconsistency.
+    """
+    from convexcodes.collapse import CollapseStep, _apply_step, _is_point
+    from convexcodes.errors import InternalInconsistency
+
+    state = tuple(sorted(facets))
+    steps = []
+    while not _is_point(state):
+        support = 0
+        for f in state:
+            support |= f
+        w = 0
+        while support and not w:
+            v = support & -support
+            support ^= v
+            meet = -1
+            for f in state:
+                if f & v:
+                    meet &= f
+            w = (meet ^ v) & -(meet ^ v)
+        if not w:
+            raise InternalInconsistency("the strong collapse stopped short of a point")
+        while f := next((f for f in state if f & v), 0):
+            steps.append(CollapseStep(f ^ w, f))
+            state = _apply_step(state, f ^ w, f)
+    return tuple(steps)

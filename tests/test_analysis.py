@@ -10,7 +10,6 @@ import pytest
 from convexcodes import analysis
 from convexcodes.analysis import (
     AnalysisReport,
-    _shape,
     classify,
     cone_minus_apex,
     contractibility_status,
@@ -33,6 +32,7 @@ from convexcodes.complexes import (
     face_members,
     face_of,
     link,
+    _shape,
 )
 from convexcodes.errors import InternalInconsistency, TooLarge, VoidComplex
 from convexcodes.homology import BettiVector, _strong_core, is_acyclic, reduced_betti
@@ -134,7 +134,7 @@ def test_contractibility_budget_exhaustion():
 
 
 def point_core(cx):
-    core = _strong_core(cx).facets
+    core = _strong_core(cx)[0].facets
     return len(core) == 1 and core[0].bit_count() == 1
 
 
@@ -161,6 +161,7 @@ def test_point_cores_are_certified_without_a_search(monkeypatch):
             if st.reason == R_COLLAPSE_CERT:
                 certified += 1
                 assert certifies_collapse(cx, st.certificate), (n, seed)
+                assert st.certificate == oracles.scanning_strong_collapse_steps(cx.facets)
                 assert all(step.tau.bit_count() == step.sigma.bit_count() + 1
                            for step in st.certificate)
     # the rest are trees or cones, decided on earlier rungs
@@ -169,7 +170,7 @@ def test_point_cores_are_certified_without_a_search(monkeypatch):
 
 def test_strong_collapse_steps_refuse_a_nonpoint_core():
     with pytest.raises(InternalInconsistency):
-        _strong_collapse_steps(searched_complex().facets)
+        _strong_collapse_steps(searched_complex().facets, ())
 
 
 def test_inconsistency_message_braces_the_witness_on_12_labels(monkeypatch):
@@ -624,15 +625,15 @@ def relabel(cx, labels):
 
 
 def test_classify_computes_betti_once_per_core_shape(monkeypatch):
-    from convexcodes import analysis
+    from convexcodes import homology
 
     calls = []
 
-    def counting(cx, p, _fn=analysis.reduced_betti):
+    def counting(cx, p, _fn=homology.reduced_betti):
         calls.append((relabel(cx, range(1, len(vertices(cx)) + 1)).facets, p))
         return _fn(cx, p)
 
-    monkeypatch.setattr(analysis, "reduced_betti", counting)
+    monkeypatch.setattr(homology, "reduced_betti", counting)
     # every link of c_n(10) is a sphere, its own core, one shape per size of
     # sigma; sizes 1..6 reach homology, which proves each one at p = 2
     first = classify(c_n(10))
@@ -646,15 +647,15 @@ def test_classify_computes_betti_once_per_core_shape(monkeypatch):
 
 def count_betti(monkeypatch):
     """Record (facets, p) for each Betti computation the ladder makes."""
-    from convexcodes import analysis
+    from convexcodes import homology
 
     calls = []
 
-    def counting(cx, p, _fn=analysis.reduced_betti):
+    def counting(cx, p, _fn=homology.reduced_betti):
         calls.append((cx.facets, p))
         return _fn(cx, p)
 
-    monkeypatch.setattr(analysis, "reduced_betti", counting)
+    monkeypatch.setattr(homology, "reduced_betti", counting)
     return calls
 
 
@@ -679,7 +680,7 @@ def test_dominated_vertex_over_rp2_keeps_its_primes_apart():
     plane = rp2()
     cx = SimplicialComplex.from_facets(
         7, [f | F("7") if f == F("125") else f for f in plane.facets])
-    assert _strong_core(cx).facets == plane.facets
+    assert _strong_core(cx)[0].facets == plane.facets
     assert reduced_betti(cx, 2).betti == (0, 1, 1, 0)
     assert reduced_betti(cx, 3).betti == (0, 0, 0, 0)
     assert is_acyclic(cx, (3, 5)) and not is_acyclic(cx)

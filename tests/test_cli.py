@@ -258,10 +258,10 @@ def test_homology_builds_the_core_once(capsys, tmp_path, monkeypatch):
     reductions = []
 
     def recording(cx, _fn=homology._strong_core):
-        core = _fn(cx)
+        core, deletions = _fn(cx)
         if core is not cx:
             reductions.append(cx.facets)
-        return core
+        return core, deletions
 
     monkeypatch.setattr(homology, "_strong_core", recording)
     monkeypatch.setattr(cli, "_strong_core", recording)

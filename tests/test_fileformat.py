@@ -175,6 +175,11 @@ def test_parse_face_tokens():
     assert parse_face("0101", 4) == F("24")
     assert parse_face("12", 12) == face_of([12])
     assert parse_face("10 12", 12) == face_of([10, 12])
+    # a lone 0/1 token is a binary row only at the ambient width
+    assert parse_face("10", 12) == face_of([10])
+    assert parse_face("11", 12) == face_of([11])
+    with pytest.raises(ParseError, match="binary width 2 does not match n=4"):
+        parse_face("10", 4)
     with pytest.raises(LabelOutOfRange):
         parse_face("5", 4)
     with pytest.raises(ParseError):

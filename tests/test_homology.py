@@ -199,10 +199,10 @@ def test_is_acyclic_builds_the_core_once(monkeypatch):
     reductions = []
 
     def recording(cx, _fn=homology._strong_core):
-        core = _fn(cx)
+        core, deletions = _fn(cx)
         if core is not cx:
             reductions.append(cx.facets)
-        return core
+        return core, deletions
 
     monkeypatch.setattr(homology, "_strong_core", recording)
     # the dunce hat with one triangle coned over a dominated vertex 9
@@ -211,6 +211,26 @@ def test_is_acyclic_builds_the_core_once(monkeypatch):
     cx = SimplicialComplex.from_facets(9, [f | 1 << 8 if f == top else f for f in hat.facets])
     assert is_acyclic(cx, PRIMES + (7,))
     assert reductions == [cx.facets]
+
+
+def test_strong_core_deletions_rebuild_the_core():
+    # each recorded (v, w): v is the lowest vertex whose facets share another
+    # vertex, w the lowest such vertex, and deleting v leaves the maximal
+    # sets among the facets with v removed
+    for n in range(5, 9):
+        for seed in range(500):
+            cx = random_complex(n, seed)
+            core, deletions = _strong_core(cx)
+            facets = {oracles.to_set(f) for f in cx.facets}
+            for v, w in deletions:
+                meets = {u: frozenset.intersection(*(f for f in facets if u in f))
+                         for u in sorted(set().union(*facets))}
+                lowest = min(u for u, meet in meets.items() if len(meet) > 1)
+                (v,), (w,) = face_members(v), face_members(w)
+                assert (v, w) == (lowest, min(meets[v] - {v})), (n, seed)
+                facets = oracles.maximal_sets({f - {v} for f in facets})
+            assert facets == {oracles.to_set(f) for f in core.facets}, (n, seed)
+            assert not deletions or _strong_core(core) == (core, ())
 
 
 def no_matrix(monkeypatch):
@@ -229,7 +249,7 @@ def test_hollow_simplex_betti_in_closed_form(monkeypatch):
     want = {(cx, p): oracles.reduced_betti(oracles.complex_faces(cx), p)
             for cx in spheres for p in PRIMES}
     for cx in spheres:
-        assert _strong_core(cx) == cx
+        assert _strong_core(cx) == (cx, ())
     no_matrix(monkeypatch)
     for cx in spheres:
         for p in PRIMES:
@@ -246,7 +266,7 @@ def test_complex_collapsing_onto_a_hollow_simplex_gets_the_padded_vector(monkeyp
     tetrahedron = SimplicialComplex.from_facets(7, sphere.facets + (F(4, 5, 6, 7),))
     cases = [(triangle, (0, 0, 1)), (tetrahedron, (0, 0, 1, 0))]
     for cx, _ in cases:
-        assert _strong_core(cx) == SimplicialComplex(cx.ambient_n, sphere.facets)
+        assert _strong_core(cx)[0] == SimplicialComplex(cx.ambient_n, sphere.facets)
     want = {(cx, p): oracles.reduced_betti(oracles.complex_faces(cx), p)
             for cx, _ in cases for p in PRIMES}
     no_matrix(monkeypatch)
@@ -274,7 +294,7 @@ def test_near_misses_of_a_hollow_simplex_build_matrices(monkeypatch):
 
     monkeypatch.setattr(homology, "boundary_matrix", counted)
     for cx in (octahedron, bowtie, triangles):
-        assert _strong_core(cx) == cx
+        assert _strong_core(cx) == (cx, ())
         before = len(built)
         for p in PRIMES:
             assert reduced_betti(cx, p).betti == oracles.reduced_betti(

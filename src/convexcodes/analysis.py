@@ -58,8 +58,8 @@ from .complexes import (
     cone,
     face_label,
     link,
-    _face_sort_key,
     _shape,
+    _sorted_faces,
 )
 from .errors import EmptyInput, InternalInconsistency, LabelOutOfRange, TooLarge, VoidComplex
 from .homology import DEFAULT_PRIMES, _betti_vectors, _check_primes, _strong_core
@@ -285,7 +285,7 @@ class _LinkTable:
         self.memo = {}
         self.by_shape = {}
         self.vacuous_yes = None
-        self.links = dict.fromkeys(sorted(facet_intersections(self.cx), key=_face_sort_key))
+        self.links = dict.fromkeys(_sorted_faces(facet_intersections(self.cx)))
         self.missing = [sigma for sigma in self.links if sigma not in code.words]
 
     def entry(self, sigma: int) -> TriStatus:
@@ -293,8 +293,7 @@ class _LinkTable:
         if st is None:
             # the link's facets, in mask order: removing sigma's bits from
             # its supersets keeps their order
-            facets = tuple(f ^ sigma for f in self.cx.facets if f & sigma == sigma)
-            shape = _shape(facets)
+            shape = _shape([f ^ sigma for f in self.cx.facets if f & sigma == sigma])
             st = self.by_shape.get(shape)
             if st is None:
                 lk = link(self.cx, sigma)
@@ -308,10 +307,15 @@ class _LinkTable:
         return st
 
     def mandatory(self) -> tuple[frozenset[int], frozenset[int]]:
-        statuses = [(sigma, self.entry(sigma)) for sigma in self.links]
-        found = frozenset(sigma for sigma, st in statuses if st.is_no)
-        unknown = frozenset(sigma for sigma, st in statuses if st.is_unknown)
-        return found, unknown
+        found = []
+        unknown = []
+        for sigma in self.links:
+            value = self.entry(sigma).value
+            if value is Verdict.NO:
+                found.append(sigma)
+            elif value is Verdict.UNKNOWN:
+                unknown.append(sigma)
+        return frozenset(found), frozenset(unknown)
 
     def _over_missing(self, status) -> TriStatus:
         """``status(sigma)`` quantified over the facet intersections missing from the code.

@@ -55,7 +55,7 @@ from .complexes import (
     face_label,
     face_members,
     link,
-    _face_sort_key,
+    _sorted_faces,
 )
 from .errors import ConvexCodesError, InternalInconsistency, ParseError, TooLarge
 from .fileformat import emit_code, emit_complex, parse_code, parse_complex, parse_face
@@ -104,7 +104,7 @@ def _face_json(mask: int) -> list[int]:
 
 
 def _faces_json(masks) -> list[list[int]]:
-    return [_face_json(m) for m in sorted(masks, key=_face_sort_key)]
+    return [_face_json(m) for m in _sorted_faces(masks)]
 
 
 def _cert_json(cert):
@@ -215,7 +215,7 @@ def _timings(args, seconds: float):
 
 
 def _labels(masks, n: int) -> str:
-    return " ".join(face_label(f, n) for f in sorted(masks, key=_face_sort_key))
+    return " ".join(face_label(f, n) for f in _sorted_faces(masks))
 
 
 def _cmd_classify(args, code: Code):
@@ -252,8 +252,8 @@ def _cmd_mandatory(args, code: Code):
     body = {"mandatory": {"found": _faces_json(found), "unknown": _faces_json(unknown)}}
     n = code.ambient_n
     lines = [f"mandatory {face_label(f, n)} [{'present' if f in code.words else 'MISSING'}]"
-             for f in sorted(found, key=_face_sort_key)]
-    lines += [f"undecided {face_label(f, n)}" for f in sorted(unknown, key=_face_sort_key)]
+             for f in _sorted_faces(found)]
+    lines += [f"undecided {face_label(f, n)}" for f in _sorted_faces(unknown)]
     # the locally-good verdict: only a mandatory or undecided face the code
     # lacks can obstruct it
     if found - code.words:

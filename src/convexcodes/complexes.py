@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
 
@@ -78,34 +78,40 @@ def check_face_enumeration(facets: Iterable[Face]) -> None:
         )
 
 
-def _face_sort_key(mask: Face) -> tuple[int, int]:
-    # Deterministic face order used everywhere: size, then mask value.
-    return (mask.bit_count(), mask)
+def _sorted_faces(masks: Iterable[Face]) -> list[Face]:
+    """The faces in (size, mask) order, the deterministic face order used everywhere.
+
+    A stable sort by size of the mask-sorted list, so both keys are C-level.
+    """
+    return sorted(sorted(masks), key=int.bit_count)
 
 
-def _shape(facets: tuple[Face, ...]) -> tuple[Face, ...]:
+def _shape(facets: Sequence[Face]) -> tuple[Face, ...]:
     """The facets after an order-preserving relabel of the support to bits 0..k-1.
 
     A relabel that keeps the vertex order keeps the facets sorted, so two
     complexes have the same shape exactly when one is such a relabel of
-    the other.  Each run of consecutive support bits moves down as a block.
+    the other.  Support vertex v goes to bit ``(support & (v - 1)).bit_count()``,
+    its rank in the support.  Each facet walks whichever is fewer, its own
+    vertices, set from zero, or the support vertices it lacks, cleared from
+    all ones, so each facet of a sphere link costs one step.
     """
     support = 0
     for f in facets:
         support |= f
-    runs = []  # (bits of one run, how far the run moves down)
-    width = 0
-    while support:
-        low = support & -support
-        run = support & ~(support + low)
-        runs.append((run, low.bit_length() - 1 - width))
-        width += run.bit_count()
-        support ^= run
+    k = support.bit_count()
+    full = (1 << k) - 1
+    half = k >> 1
     shape = []
     for f in facets:
-        g = 0
-        for run, shift in runs:
-            g |= (f & run) >> shift
+        if f.bit_count() <= half:
+            g, rest = 0, f
+        else:
+            g, rest = full, support ^ f
+        while rest:
+            low = rest & -rest
+            g ^= 1 << (support & (low - 1)).bit_count()
+            rest ^= low
         shape.append(g)
     return tuple(shape)
 
@@ -146,7 +152,7 @@ class Code:
         return self.words - {0}
 
     def sorted_words(self) -> tuple[Face, ...]:
-        return tuple(sorted(self.words, key=_face_sort_key))
+        return tuple(_sorted_faces(self.words))
 
     def __contains__(self, mask: Face) -> bool:
         return mask in self.words
@@ -202,7 +208,7 @@ class SimplicialComplex:
         """Largest facet size minus one; -1 for the void and empty-face complexes."""
         dim = self._dim
         if dim is None:
-            dim = max((f.bit_count() for f in self.facets), default=0) - 1
+            dim = max(map(int.bit_count, self.facets), default=0) - 1
             object.__setattr__(self, "_dim", dim)
         return dim
 
@@ -322,7 +328,7 @@ def order_complex(faces: Iterable[Face]) -> SimplicialComplex:
     are the facets as they stand, sorted.  TooLarge refuses more than
     ``MAX_FACE_ENUMERATION`` of them.
     """
-    elems = sorted(set(faces), key=_face_sort_key)
+    elems = _sorted_faces(set(faces))
     if not elems:
         raise EmptyInput("order_complex needs at least one face")
     if elems[0] == 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .complexes import Code, SimplicialComplex, face_of, _face_sort_key
+from .complexes import Code, SimplicialComplex, face_of, _sorted_faces
 from .errors import TooLarge
 
 
@@ -91,7 +91,7 @@ def rp2() -> SimplicialComplex:
 
 def nonempty_words(n: int) -> list[int]:
     """All nonempty words on n labels in (size, mask) order."""
-    return sorted(range(1, 1 << n), key=_face_sort_key)
+    return _sorted_faces(range(1, 1 << n))
 
 
 def all_codes(n: int) -> Iterator[Code]:

@@ -50,7 +50,7 @@ from .complexes import (
     MAX_FACE_ENUMERATION,
     MAX_VERTICES,
     Code,
-    _face_sort_key,
+    _sorted_faces,
     closure,  # nothing here calls it; perfbench/tracing.py install wraps it by name
     face_label,
     order_complex,
@@ -254,7 +254,7 @@ def good_cover_check(
         join = reduce(or_, (w for w in words if meet & ~w == 0))
         if _cone_apex(words, meet, join) is None:
             faces.append(_least_face(meet, words))
-    faces.sort(key=_face_sort_key)
     memo = {}
-    regions = ((tau, v_region_contractibility(code, tau, budget, memo, primes)) for tau in faces)
+    regions = ((tau, v_region_contractibility(code, tau, budget, memo, primes))
+               for tau in _sorted_faces(faces))
     return for_all(regions, R_ALL_REGIONS)

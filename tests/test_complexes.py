@@ -15,6 +15,8 @@ from convexcodes.complexes import (
     face_of,
     link,
     order_complex,
+    _shape,
+    _sorted_faces,
 )
 from convexcodes.errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
 from convexcodes.instances import (
@@ -43,6 +45,46 @@ def test_face_roundtrip():
     for _ in range(200):
         members = tuple(sorted(rng.sample(range(1, 65), rng.randint(0, 10))))
         assert face_members(face_of(members)) == members
+
+
+def test_sorted_faces_orders_by_size_then_mask():
+    rng = random.Random(17)
+    for _ in range(50):
+        masks = {rng.getrandbits(rng.randint(1, 64)) for _ in range(rng.randint(0, 30))}
+        assert _sorted_faces(masks) == sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def _shape_by_definition(facets):
+    """Relabel each support vertex to its index in the sorted support."""
+    support = sorted({v for f in facets for v in face_members(f)})
+    index = {v: i for i, v in enumerate(support)}
+    return tuple(sum(1 << index[v] for v in face_members(f)) for f in facets)
+
+
+def test_shape_matches_its_definition():
+    rng = random.Random(31)
+    families = [(), (0,), (F("7"),), (face_of([64]), face_of([1, 64]), face_of([2, 63, 64]))]
+    # hollow simplices on scattered supports: every facet lacks one vertex
+    for k in (3, 10, 64):
+        support = sorted(rng.sample(range(1, 65), k))
+        families.append(tuple(sorted(face_of(support[:i] + support[i + 1:]) for i in range(k))))
+    for _ in range(300):
+        support = rng.sample(range(1, 65), rng.randint(1, 64))
+        families.append(tuple(sorted({
+            face_of(rng.sample(support, rng.randint(0, len(support))))
+            for _ in range(rng.randint(1, 8))
+        })))
+    own_walks = lacking_walks = 0
+    for facets in families:
+        assert _shape(facets) == _shape_by_definition(facets), facets
+        k = len({v for f in facets for v in face_members(f)})
+        for f in facets:
+            if 2 * f.bit_count() <= k:
+                own_walks += 1
+            else:
+                lacking_walks += 1
+    # both walks run, each many times
+    assert own_walks > 100 and lacking_walks > 100
 
 
 def test_face_of_rejects_bad_labels():

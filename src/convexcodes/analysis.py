@@ -24,13 +24,16 @@ code: each facet intersection with its link's contractibility status,
 decided on first read.  Links that differ only by an order-preserving
 relabel of their vertices have one shape, and the table decides each
 shape once: a later link of a known shape takes the stored status
-without being built.  Links whose status carries labels or a node count,
-a collapse certificate or the search's verdict, are built and decided
-one by one, sharing one memo of the search's states and of Betti
-numbers.  The Betti numbers are computed on each link's
-strong-collapse core, once per core shape and prime: links of different
-shapes often share a core, most often the 3-cycle or the boundary of the
-tetrahedron.
+without being built.  Nor is every link relabelled to find its shape:
+the link of a face is the link of its lowest vertex inside the link of
+the rest of the face, its parent, so once the parent's link was shaped,
+the parent's shape and that vertex's rank give the shape by a lookup.
+Links whose status carries labels or a node count, a collapse
+certificate or the search's verdict, are built and decided one by one,
+sharing one memo of the search's states and of Betti numbers.  The
+Betti numbers are computed on each link's strong-collapse core, once per
+core shape and prime: links of different shapes often share a core, most
+often the 3-cycle or the boundary of the tetrahedron.
 
 Contractibility itself is semidecidable, so the checker climbs a ladder of
 exact special cases (graphs, cones, a strong-collapse core that is a
@@ -48,6 +51,8 @@ neither contractible nor collapsible, so no search runs on such a link.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .collapse import Budget, _is_point, _strong_collapse_steps, is_collapsible
 from .complexes import (
@@ -249,6 +254,11 @@ def _has_every_face(words: frozenset[int]) -> bool:
 # sigma lies in the intersection of those facets, which is sigma itself.
 _SHAPE_RUNGS = (R_TREE_TEST, R_NONZERO_BETTI)
 
+# A link table's node packs a link's shape id below its support.  A table
+# has at most MAX_FACE_ENUMERATION links, so it interns fewer shapes.
+_ID_BITS = (MAX_FACE_ENUMERATION - 1).bit_length()
+_ID_MASK = (1 << _ID_BITS) - 1
+
 
 class _LinkTable:
     """Each facet intersection of a code's complex with its link's status.
@@ -261,15 +271,20 @@ class _LinkTable:
     max-intersection completeness of one code.  A quantifier that stops at
     its first No leaves the links after it undecided.
 
-    The status is decided once per link shape: the shape is read off the
-    facets containing sigma, and a link whose shape already has a tree-test
-    or nonzero-Betti status takes a copy of it without being built.  A link
-    decided by a collapse certificate or the search is built and decided
-    on its own, since its steps carry its labels and its node count
-    depends on the shared memo.  No link is kept after it
-    is decided.  Below the table's link shapes, the shared memo keys Betti
-    numbers by the shape of each link's strong core, so a link of a new
-    shape whose core is known computes no homology.
+    The status is decided once per link shape, and a link whose shape
+    already has a tree-test or nonzero-Betti status takes a copy of it
+    without being built; ``by_shape`` keys those statuses by the shape's
+    id, interned per table.  A link whose parent link, that of sigma less
+    its lowest vertex, was shaped gets its shape by a lookup in
+    ``derived`` (see :meth:`_shape_id`); any other link, and the first of
+    each lookup key, is relabelled from the facets containing sigma.  Each
+    shaped link that could be a parent keeps a node, one int packing its
+    shape id and its support.  A link decided by a collapse certificate or
+    the search is built and decided on its own, since its steps carry its
+    labels and its node count depends on the shared memo.  No link is kept
+    after it is decided.  Below the table's link shapes, the shared memo
+    keys Betti numbers by the shape of each link's strong core, so a link
+    of a new shape whose core is known computes no homology.
 
     Every prime is checked when the table is built, so a non-prime raises
     ValueError whatever the links are.
@@ -287,24 +302,64 @@ class _LinkTable:
         self.vacuous_yes = None
         self.links = dict.fromkeys(_sorted_faces(facet_intersections(self.cx)))
         self.missing = [sigma for sigma in self.links if sigma not in code.words]
+        # sigma -> its link's support << _ID_BITS | its link's shape id
+        self.nodes = {}
+        self.shape_ids = {}
+        # parent shape id << 6 | rank of v -> child shape id << 1 | support flag
+        self.derived = {}
 
     def entry(self, sigma: int) -> TriStatus:
         st = self.links[sigma]
         if st is None:
-            # the link's facets, in mask order: removing sigma's bits from
-            # its supersets keeps their order
-            shape = _shape([f ^ sigma for f in self.cx.facets if f & sigma == sigma])
-            st = self.by_shape.get(shape)
+            sid = self._shape_id(sigma)
+            st = self.by_shape.get(sid)
             if st is None:
                 lk = link(self.cx, sigma)
                 st = contractibility_status(lk, self.budget, self.memo, self.primes)
                 if st.reason in _SHAPE_RUNGS:
-                    self.by_shape[shape] = st
+                    self.by_shape[sid] = st
             elif st.reason == R_TREE_TEST:
                 # each link owns its certificate dict; a BettiVector is frozen
                 st = TriStatus(st.value, st.reason, certificate=dict(st.certificate))
             self.links[sigma] = st
         return st
+
+    def _shape_id(self, sigma: int) -> int:
+        """The interned shape of sigma's link, which sigma's node then records.
+
+        With v the lowest vertex of sigma, the link of sigma is the link of
+        v inside the link of its parent, sigma - v, and an order-preserving
+        relabel commutes with taking a link.  So when the parent has a
+        node, the parent's shape and v's rank in the parent's link support
+        fix sigma's shape, and whether sigma's support is the parent's
+        less v: ``derived`` keeps both per pair, filled by the first link
+        of each pair, which ``_shape`` relabels from its facets like a link
+        with no shaped parent.
+        """
+        v = sigma & -sigma
+        node = self.nodes.get(sigma ^ v)
+        key = derived = None
+        if node is not None:
+            parent = node >> _ID_BITS
+            key = (node & _ID_MASK) << 6 | (parent & (v - 1)).bit_count()
+            derived = self.derived.get(key)
+        if derived is None:
+            # removing sigma's bits from its supersets keeps their mask order
+            facets = [f ^ sigma for f in self.cx.facets if f & sigma == sigma]
+            support = reduce(or_, facets, 0)
+            sid = self.shape_ids.setdefault(_shape(facets), len(self.shape_ids))
+            if key is not None:
+                self.derived[key] = sid << 1 | (support == parent ^ v)
+        else:
+            sid = derived >> 1
+            if derived & 1:
+                support = parent ^ v
+            else:
+                support = reduce(or_, [f ^ sigma for f in self.cx.facets if f & sigma == sigma])
+        if support & (v - 1):
+            # only a link with a vertex below v can have a child to read this
+            self.nodes[sigma] = support << _ID_BITS | sid
+        return sid
 
     def mandatory(self) -> tuple[frozenset[int], frozenset[int]]:
         found = []

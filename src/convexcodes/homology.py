@@ -118,7 +118,12 @@ def _check_prime(p: int) -> None:
 
 
 def _check_primes(primes) -> tuple[int, ...]:
-    """``primes`` as a tuple, once ``_check_prime`` has passed each of them."""
+    """``primes`` as a tuple, once ``_check_prime`` has passed each of them.
+
+    ``DEFAULT_PRIMES`` itself is known good and comes back at once.
+    """
+    if primes is DEFAULT_PRIMES:
+        return primes
     primes = tuple(primes)
     for p in primes:
         _check_prime(p)

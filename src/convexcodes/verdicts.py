@@ -36,7 +36,7 @@ R_ALL_REGIONS = "all-regions-verified"
 R_VACUOUS = "nothing-to-check"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriStatus:
     """A verdict plus its audit trail.
 

@@ -3,6 +3,7 @@
 import random
 import time
 from functools import reduce
+from itertools import product
 from operator import or_
 
 import pytest
@@ -573,6 +574,110 @@ def test_link_table_matches_fresh_status_per_link(monkeypatch):
     assert hits > 0
 
 
+def derived_shape_codes():
+    """Codes whose link tables shape links both ways, by lookup and by relabel."""
+    from convexcodes.instances import all_codes
+
+    rng = random.Random(32)
+    codes = [c_n(n) for n in range(3, 12)]
+    # the links of 20 and 21 have one shape, a 4-cycle with one chord, in
+    # which 3 ranks second (three neighbours) and first (two neighbours)
+    graphs = {20: ["13", "15", "35", "37", "57"], 21: ["34", "35", "45", "46", "56"]}
+    codes.append(Code(21, frozenset(face_of([apex, int(a), int(b)])
+                                    for apex, edges in graphs.items() for a, b in edges)))
+    # hollow simplices on scattered supports: every word lacks one label
+    for k in (3, 5, 8, 10):
+        support = sorted(rng.sample(range(1, 64), k - 1)) + [64]
+        codes.append(Code(64, frozenset(face_of(support[:i] + support[i + 1:])
+                                        for i in range(k))))
+    codes += list(all_codes(4))[::4]
+    codes += [random_code(n, s) for n in (5, 6, 7) for s in range(100)]
+    for _ in range(200):
+        support = rng.sample(range(1, 65), rng.randint(2, 64))
+        codes.append(Code(64, frozenset(
+            face_of(rng.sample(support, rng.randint(1, min(len(support), 9))))
+            for _ in range(rng.randint(2, 9))
+        )))
+    # joins of paths on shuffled labels, with every facet intersection whose
+    # link is not proved contractible added as a word: the standalone walks
+    # then reach every missing face, and a missing face's parent is often
+    # missing and shaped before it
+    for lengths in [(3, 3), (5, 3), (6, 6), (3, 3, 3), (4, 3, 5), (2, 3, 4, 2)]:
+        labels = rng.sample(range(1, 65), sum(lengths) + len(lengths))
+        paths = []
+        for k in lengths:
+            path, labels = labels[:k + 1], labels[k + 1:]
+            paths.append([face_of(path[i:i + 2]) for i in range(k)])
+        cx = closure(Code(64, frozenset(map(sum, product(*paths)))))
+        codes.append(Code(64, frozenset(cx.facets) | {
+            sigma for sigma in facet_intersections(cx)
+            if not contractibility_status(link(cx, sigma), Budget(nodes=200)).is_yes
+        }))
+    return codes
+
+
+def test_link_table_derives_the_shape_each_link_has(monkeypatch):
+    from convexcodes.homology import DEFAULT_PRIMES
+
+    shaped = {}
+
+    def recording(table, sigma, _fn=analysis._LinkTable._shape_id):
+        sid = _fn(table, sigma)
+        shaped[sigma] = sid
+        return sid
+
+    relabels = [0]
+
+    def counting(*args, _fn=analysis._shape):
+        relabels[0] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(analysis._LinkTable, "_shape_id", recording)
+    monkeypatch.setattr(analysis, "_shape", counting)
+    walks = {
+        "mandatory": analysis._LinkTable.mandatory,
+        "locally_good": analysis._LinkTable.locally_good,
+        "locally_great": analysis._LinkTable.locally_great,
+    }
+    lookups = dict.fromkeys(walks, 0)
+    for code in derived_shape_codes():
+        for name, walk in walks.items():
+            table = analysis._LinkTable(code, Budget(nodes=200), DEFAULT_PRIMES)
+            shaped.clear()
+            relabels[0] = 0
+            walk(table)
+            decided = [sigma for sigma, st in table.links.items() if st is not None]
+            assert sorted(shaped) == sorted(decided), (code, name)
+            shapes = {sid: shape for shape, sid in table.shape_ids.items()}
+            for sigma, sid in shaped.items():
+                facets = link(table.cx, sigma).facets
+                assert shapes[sid] == _shape(facets), (code, name, sigma)
+                node = table.nodes.get(sigma)
+                if node is not None:
+                    assert node & analysis._ID_MASK == sid
+                    assert node >> analysis._ID_BITS == reduce(or_, facets, 0), (code, sigma)
+            lookups[name] += len(shaped) - relabels[0]
+    # each walk shapes links by lookup, the standalone walks too
+    assert lookups["mandatory"] > 5000
+    assert lookups["locally_good"] == lookups["locally_great"] > 50
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_link_table_relabels_fewer_links_than_sphere_codes_have(monkeypatch, n):
+    # c_n(n) has 2^n - 2 links; each size has one shape, so lookups find
+    # all but the vertex links and one link per (shape, rank) pair
+    relabels = []
+
+    def counting(*args, _fn=analysis._shape):
+        relabels.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(analysis, "_shape", counting)
+    report = classify(c_n(n))
+    assert len(report.mandatory_found) == 2 ** n - 2
+    assert len(relabels) < n * (n + 1) // 2
+
+
 def test_chain_consistency():
     # locally great Yes forces locally good Yes; good No forces great No
     for seed in range(80):
@@ -782,6 +887,14 @@ def test_link_table_checks_its_primes_up_front(decide):
     # every link of c_4 is a graph, decided before any Betti number
     with pytest.raises(ValueError, match="not prime"):
         decide(c_n(4), primes=(4,))
+
+
+def test_classify_checks_primes_other_than_the_defaults():
+    # the default tuple is taken as checked; any other value is checked,
+    # even a list that starts like it
+    with pytest.raises(ValueError, match="not prime"):
+        classify(c_n(4), primes=[2, 3, 4])
+    assert classify(c_n(4), primes=[2, 3, 5]) == classify(c_n(4))
 
 
 def test_classify_rejects_a_float_prime():

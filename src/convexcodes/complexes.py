@@ -25,8 +25,8 @@ from typing import ClassVar, Iterable, Iterator, Sequence
 from .errors import EmptyInput, LabelOutOfRange, NotAFace, TooLarge, VertexInUse
 
 MAX_VERTICES = 64
-# Caps listed faces (the facets' subsets, summed), intersections, least-face
-# candidates and maximal chains, so a wide input is refused, not stored.
+# Caps listed faces (the facets' subsets, summed), intersections and
+# maximal chains, so a wide input is refused, not stored.
 MAX_FACE_ENUMERATION = 1 << 20
 
 Face = int

@@ -30,13 +30,12 @@ codeword goes to its order complex, with cover relations read off bit
 masks of each codeword's up- and down-sets.  The meets are exactly the
 nonempty intersections of codewords, so the good-cover check lists that
 intersection closure, passes over each cone meet with nothing built, and
-decides each other meet once, at its least face: the (size, mask)-least
-label set with that meet.  A cell of the open realization yields a word
-only when its positive part is a codeword, and that word is the positive
-part, so the realized code is read off one chamber per codeword and is
-the code's nonzero words by construction; only the closed realization
-walks every cell.  A cell is never an object, just a ``(positive,
-zero)`` pair of int masks.
+decides each other meet once, at the meet itself, in (size, mask) order.
+A cell of the open realization yields a word only when its positive part
+is a codeword, and that word is the positive part, so the realized code
+is read off one chamber per codeword and is the code's nonzero words by
+construction; only the closed realization walks every cell.  A cell is
+never an object, just a ``(positive, zero)`` pair of int masks.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from operator import and_, or_
 from .analysis import _intersections, contractibility_status
 from .collapse import Budget
 from .complexes import (
-    MAX_FACE_ENUMERATION,
     MAX_VERTICES,
     Code,
     _sorted_faces,
@@ -75,29 +73,6 @@ def _cone_apex(words: frozenset[int], meet: int, join: int) -> int | None:
     if join in words:
         return join
     return None
-
-
-def _least_face(meet: int, words: frozenset[int]) -> int:
-    """The (size, mask)-least nonempty face whose up-set has this meet.
-
-    It lies inside the meet and meets each hole ``meet & ~w`` of a word w
-    without the meet, as the meet does.  Faces are built by size, in mask
-    order; TooLarge refuses a size that takes the count past the 2^20 cap.
-    """
-    holes = {h for w in words if (h := meet & ~w)}
-    bits = [1 << i for i in range(meet.bit_length()) if meet >> i & 1]
-    level, built, count = [0], 0, 1
-    for size in range(1, len(bits) + 1):
-        count = count * (len(bits) - size + 1) // size  # the faces of this size
-        built += count
-        if built > MAX_FACE_ENUMERATION:
-            raise TooLarge(f"the least face over {face_label(meet, meet.bit_length())} "
-                           "is sought among at most 2^20 faces")
-        # each face gains a label above its own, so the faces stay in mask order
-        level = [f | t for t in bits for f in level if f < t]
-        for tau in level:
-            if all(map(tau.__and__, holes)):
-                return tau
 
 
 def v_region_contractibility(
@@ -235,12 +210,12 @@ def good_cover_check(
     above them) share one region, and the meets are the nonempty
     intersections of codewords.  A cone meet, one that is a codeword or
     whose join (the OR) is, is passed over with nothing built; each other
-    is decided by :func:`v_region_contractibility` at its least label set,
-    in (size, mask) order, and No names the first that fails.  Yes carries
-    ``all-regions-verified`` when the code has a nonzero word, else
+    is decided by :func:`v_region_contractibility` at the meet itself, in
+    (size, mask) order, and No names the first meet that fails.  Yes
+    carries ``all-regions-verified`` when the code has a nonzero word, else
     ``nothing-to-check``.  One search memo serves every region.  TooLarge
-    refuses more than 2^20 intersections or least-face candidates.  Every
-    prime is checked first, even when no region reaches homology.
+    refuses more than 2^20 intersections.  Every prime is checked first,
+    even when no region reaches homology.
     """
     primes = _check_primes(primes)
     if not code.words:
@@ -249,12 +224,11 @@ def good_cover_check(
     meets = _intersections(words)
     if not meets:
         return TriStatus(Verdict.YES, R_VACUOUS)
-    faces = []
+    regions = []
     for meet in meets.difference(words):
         join = reduce(or_, (w for w in words if meet & ~w == 0))
         if _cone_apex(words, meet, join) is None:
-            faces.append(_least_face(meet, words))
+            regions.append(meet)
     memo = {}
-    regions = ((tau, v_region_contractibility(code, tau, budget, memo, primes))
-               for tau in _sorted_faces(faces))
-    return for_all(regions, R_ALL_REGIONS)
+    return for_all(((meet, v_region_contractibility(code, meet, budget, memo, primes))
+                    for meet in _sorted_faces(regions)), R_ALL_REGIONS)

@@ -273,11 +273,14 @@ def naive_good_cover(code, budget=None, primes=(2, 3, 5)):
     The cover intersection over every nonempty face tau of the code's
     complex, codewords included, is the order complex of the codewords
     containing tau, decided by ``contractibility_status`` alone with only
-    the search memo shared; the faces are quantified in (size, mask)
-    order.  No cone rule and no sharing between faces: the reference for
-    both in ``convexcodes.realization``.  The order complexes come from
-    :func:`naive_order_complex`, not the package's.  A code with no
-    nonempty face has nothing to check.
+    the search memo shared; every face is decided, in (size, mask) order.
+    The region over a face depends on it only through its meet, the
+    intersection of the codewords containing it, so the verdict is then
+    quantified over the meets in (size, mask) order, each meet taking the
+    status of its first face.  No cone rule and no sharing between faces:
+    the reference for both in ``convexcodes.realization``.  The order
+    complexes come from :func:`naive_order_complex`, not the package's.
+    A code with no nonempty face has nothing to check.
     """
     from convexcodes.analysis import contractibility_status
     from convexcodes.collapse import Budget
@@ -286,15 +289,17 @@ def naive_good_cover(code, budget=None, primes=(2, 3, 5)):
 
     budget = budget or Budget()
     memo = {}
-
-    def region(tau):
+    by_meet = {}
+    for tau in closure(code).faces():
+        if not tau:
+            continue
         upset = [w for w in code.words if tau & ~w == 0]
-        return contractibility_status(naive_order_complex(upset), budget, memo, primes)
-
-    faces = [tau for tau in closure(code).faces() if tau]
-    if not faces:
+        status = contractibility_status(naive_order_complex(upset), budget, memo, primes)
+        by_meet.setdefault(to_mask(frozenset.intersection(*map(to_set, upset))), status)
+    if not by_meet:
         return TriStatus(Verdict.YES, R_VACUOUS)
-    return for_all(((tau, region(tau)) for tau in faces), R_ALL_REGIONS)
+    order = sorted(by_meet, key=lambda meet: (len(to_set(meet)), meet))
+    return for_all(((meet, by_meet[meet]) for meet in order), R_ALL_REGIONS)
 
 
 @lru_cache(maxsize=4096)

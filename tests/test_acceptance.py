@@ -78,21 +78,23 @@ def test_criterion_01_landmark_example_classifications():
 
 def test_criterion_02_locally_good_iff_good_cover():
     t0 = time.perf_counter()
-    n = unknowns = mismatches = 0
-    for code in all_codes(3):
-        n += 1
-        a = is_locally_good(code)
-        b = good_cover_check(code)
-        if Verdict.UNKNOWN in (a.value, b.value):
-            unknowns += 1
-        if (a.value is Verdict.YES) != (b.value is Verdict.YES):
-            mismatches += 1
+    counts = {3: 0, 4: 0}
+    unknowns = mismatches = 0
+    for n in counts:
+        for code in all_codes(n):
+            counts[n] += 1
+            a = is_locally_good(code)
+            b = good_cover_check(code)
+            if Verdict.UNKNOWN in (a.value, b.value):
+                unknowns += 1
+            if (a.value is Verdict.YES) != (b.value is Verdict.YES):
+                mismatches += 1
     dt = time.perf_counter() - t0
     report(
         2,
-        n == 127 and unknowns == 0 and mismatches == 0 and dt < 30.0,
-        f"locally-good == good-cover on all {n} 3-label codes, "
-        f"{unknowns} unknowns, {dt:.2f}s",
+        counts == {3: 127, 4: 32767} and unknowns == 0 and mismatches == 0 and dt < 30.0,
+        f"locally-good == good-cover on all {counts[3]} 3-label and {counts[4]} "
+        f"4-label codes, {unknowns} unknowns, {mismatches} mismatches, {dt:.2f}s",
     )
 
 

@@ -312,6 +312,16 @@ def test_goodcover_command(files, capsys):
     assert "good_cover: No" in out and "witness 4" in out
 
 
+def test_goodcover_names_the_first_failing_meet(capsys, tmp_path):
+    # faces 1 and 12 have the same codewords above them, and their meet 12
+    # names the region
+    path = tmp_path / "two-triangles.code"
+    path.write_text("n=4\n123\n124\n")
+    assert run(["goodcover", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "good_cover: No [tree-test] witness 12; components=2 edges=0 vertices=2"]
+
+
 def test_generate_all_names_parse_back(files, capsys, tmp_path):
     code_names = ["intro-code", "counterexample", "connected-not-goodcover"]
     for name in code_names:

@@ -134,14 +134,28 @@ def test_good_cover_check_refuses_past_either_cap():
     full = (1 << 21) - 1
     with pytest.raises(TooLarge, match=r"intersection closure is capped at 2\^20 members"):
         good_cover_check(Code(21, frozenset(full ^ 1 << i for i in range(21))))
+
+
+def test_good_cover_check_decides_each_region_at_its_meet():
+    from convexcodes.analysis import is_locally_good
+
     # labels 1..60 in ten blocks of 6: the meet m of the words m+61 and m+62
     # is no codeword, nor is their join, and m minus any one block is a
-    # word, so the least face with that meet takes a label from every block
+    # word, so every face with meet m takes a label from every block; the
+    # first failing meet is the block {1,...,6}, the meet of the other nine
     m = (1 << 60) - 1
     blocks = [0b111111 << 6 * i for i in range(10)]
     code = Code(62, frozenset({m | 1 << 60, m | 1 << 61, *(m & ~b for b in blocks)}))
-    with pytest.raises(TooLarge, match=r"is sought among at most 2\^20 faces"):
-        good_cover_check(code)
+    start = time.perf_counter()
+    st = good_cover_check(code)
+    assert time.perf_counter() - start < 1
+    assert (st.value, st.reason, st.witness) == (Verdict.NO, R_TREE_TEST, F("123456"))
+    assert is_locally_good(code).is_no
+    # {123, 124}: faces 1 and 12 share the meet 12, which names the region,
+    # as classify's locally-good witness does
+    st = good_cover_check(Code(4, words("123", "124")))
+    assert (st.value, st.reason, st.witness) == (Verdict.NO, R_TREE_TEST, F("12"))
+    assert st.certificate == {"components": 2, "edges": 0, "vertices": 2}
 
 
 def test_good_cover_check_builds_no_closure_under_the_cap(monkeypatch):
@@ -231,17 +245,16 @@ def test_meet_table_decides_each_non_codeword_meet_once(monkeypatch):
     for code in corpus:
         calls.clear()
         st = good_cover_check(code)
-        want, meets = [], set()
+        upsets = {}
         for tau in closure(code).faces():
-            if not tau:
-                continue
-            upset = [w for w in code.words if tau & ~w == 0]
-            meet = reduce(and_, upset)
-            if meet not in meets:
-                meets.add(meet)
-                if not _has_least_or_greatest(upset):
-                    want.append(tau)
-            if st.is_no and tau == st.witness:
+            if tau:
+                upset = [w for w in code.words if tau & ~w == 0]
+                upsets[reduce(and_, upset)] = upset
+        want = []
+        for meet in sorted(upsets, key=lambda m: (m.bit_count(), m)):
+            if not _has_least_or_greatest(upsets[meet]):
+                want.append(meet)
+            if st.is_no and meet == st.witness:
                 break  # the walk stops at its first No
         assert calls == want, code
         assert repr(st) == repr(oracles.naive_good_cover(code)), code
@@ -359,16 +372,6 @@ def test_good_cover_negative_witness_is_sound():
         else:
             assert any(any(oracles.reduced_betti(faces, p)) for p in (2, 3, 5))
     assert hits > 3
-
-
-def test_good_cover_matches_locally_good_small():
-    from convexcodes.analysis import is_locally_good
-
-    for code in all_codes(3):
-        a = is_locally_good(code)
-        b = good_cover_check(code)
-        assert a.value is not Verdict.UNKNOWN
-        assert a.value is b.value
 
 
 def _parity_corpus():

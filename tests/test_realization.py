@@ -374,6 +374,16 @@ def test_good_cover_negative_witness_is_sound():
     assert hits > 3
 
 
+def test_good_cover_matches_locally_good_small():
+    from convexcodes.analysis import is_locally_good
+
+    for code in all_codes(3):
+        a = is_locally_good(code)
+        b = good_cover_check(code)
+        assert a.value is not Verdict.UNKNOWN
+        assert a.value is b.value
+
+
 def _parity_corpus():
     yield from all_codes(3)
     # no nonempty face: the walk has nothing to check
